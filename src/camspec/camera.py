@@ -15,8 +15,6 @@ quantization.
 
 from __future__ import annotations
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -24,14 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridMismatchError, SaturatedCodeError
-from .gamut import RbfGamutMap, apply_gamut_map
-from .spectral import (
-    SensitivityMatrix,
-    SpectralCurve,
-    SpectralGrid,
-    integrate_sensitivity,
-    spectral_product,
-)
+from .gamut import RbfGamutMap, apply_gamut_map_batch
+from .spectral import SensitivityMatrix, SpectralCurve, SpectralGrid, spectral_product
 
 CHANNEL_NAMES = ("r", "g", "b")
 
@@ -40,10 +32,15 @@ DEFAULT_SAT_LO = 10
 DEFAULT_SAT_HI = 230
 
 
-def default_thresholds(bit_depth: int) -> tuple[int, int]:
-    """The 8-bit 10/230 saturation thresholds scaled proportionally to other depths."""
+def default_thresholds(
+    bit_depth: int, sat_lo: int | None = None, sat_hi: int | None = None
+) -> tuple[int, int]:
+    """The 8-bit 10/230 saturation thresholds scaled proportionally to other
+    depths; a threshold given explicitly is kept as is."""
     zmax = 2**bit_depth - 1
-    return round(DEFAULT_SAT_LO * zmax / 255), round(DEFAULT_SAT_HI * zmax / 255)
+    lo = round(DEFAULT_SAT_LO * zmax / 255) if sat_lo is None else sat_lo
+    hi = round(DEFAULT_SAT_HI * zmax / 255) if sat_hi is None else sat_hi
+    return lo, hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,18 +86,6 @@ class ResponseCurve:
         return out
 
     @classmethod
-    def from_inverse(cls, fn, bit_depth: int = 8) -> "ResponseCurve":
-        """Build from g^-1 given as fn(code_fraction) -> linear exposure.
-
-        Code 0 would map to ln(0); it is floored at half a code so the
-        table stays finite.
-        """
-        zmax = 2**bit_depth - 1
-        frac = np.maximum(np.arange(2**bit_depth, dtype=float), 0.5) / zmax
-        row = np.log(np.asarray([fn(f) for f in frac], dtype=float))
-        return cls(bit_depth, np.tile(row, (3, 1)))
-
-    @classmethod
     def from_gamma(cls, gamma, bit_depth: int = 8) -> "ResponseCurve":
         """Power-law response g(E) = zmax * E^(1/gamma); scalar or per-channel gamma."""
         gammas = np.broadcast_to(np.asarray(gamma, dtype=float), (3,))
@@ -113,28 +98,16 @@ class ResponseCurve:
     def linear(cls, bit_depth: int = 8) -> "ResponseCurve":
         return cls.from_gamma(1.0, bit_depth)
 
-    def rescaled(self, factor: float) -> "ResponseCurve":
-        """Same shape with g^-1 multiplied by a positive constant (gauge change)."""
-        if not factor > 0:
-            raise ValueError("scale factor must be positive")
-        return ResponseCurve(self.bit_depth, self.ln_e + np.log(factor))
+
+def interpolated_code(e_linear, curve: ResponseCurve, channel: int):
+    """Pre-quantization code(s) for linear value(s): piecewise-linear in
+    exposure; np.interp clamps to 0 and code_max at the table ends."""
+    return np.interp(e_linear, curve.g_inv[channel], np.arange(curve.n_codes, dtype=float))
 
 
-def interpolated_code(e_linear: float, curve: ResponseCurve, channel: int) -> float:
-    """Pre-quantization code for a linear value: piecewise-linear in exposure,
-    clamped at the table ends."""
-    table = curve.g_inv[channel]
-    v = float(e_linear)
-    if v <= table[0]:
-        return 0.0
-    if v >= table[-1]:
-        return float(curve.code_max)
-    return float(np.interp(v, table, np.arange(curve.n_codes, dtype=float)))
-
-
-def apply_response(e_linear: float, curve: ResponseCurve, channel: int) -> int:
-    """Digital code for a linear value: nearest table code, half-codes rounded up."""
-    return int(np.floor(interpolated_code(e_linear, curve, channel) + 0.5))
+def apply_response(e_linear, curve: ResponseCurve, channel: int):
+    """Digital code(s) for linear value(s): nearest table code, half-codes rounded up."""
+    return np.floor(interpolated_code(e_linear, curve, channel) + 0.5).astype(int)
 
 
 def invert_response(
@@ -233,20 +206,30 @@ class CameraModel:
         return classify_saturation(triplet, self.sat_lo, self.sat_hi)
 
 
+def render(cam: CameraModel, radiance, exposures) -> np.ndarray:
+    """Digital codes of Eq. 1 for (N, M) radiance rows at each exposure: (N, n_exp, 3).
+
+    S = radiance @ Omega goes through the gamut map, is scaled by each
+    exposure time and quantized per channel. Output is always within code
+    range; spectra that overdrive the response clamp at the end codes.
+    """
+    exposures = np.asarray(exposures, dtype=float).reshape(-1)
+    bad = exposures[~(exposures > 0)]
+    if bad.size:
+        raise ValueError(f"exposure must be positive, got {bad[0]}")
+    p = np.asarray(radiance, dtype=float)
+    if p.ndim != 2 or p.shape[1] != cam.grid.count:
+        raise GridMismatchError("scene spectra are not on the camera grid; resample first")
+    s = p @ cam.omega.channels
+    e = s if cam.gamut is None else apply_gamut_map_batch(cam.gamut, s)
+    linear = e[:, None, :] * exposures[None, :, None]
+    return np.stack([apply_response(linear[..., k], cam.response, k) for k in range(3)], axis=-1)
+
+
 def simulate_pixel(
     cam: CameraModel, light: SpectralCurve, surface: SpectralCurve, exposure_s: float
 ) -> np.ndarray:
-    """Digital triplet for one patch: quantize(g(h(S) * exposure)) per channel.
-
-    Output is always within code range; spectra that overdrive the
-    response simply clamp at the darkest or brightest code.
-    """
-    if not exposure_s > 0:
-        raise ValueError(f"exposure must be positive, got {exposure_s}")
+    """Digital triplet for one patch at one exposure: one row of ``render``."""
     if light.grid != cam.grid or surface.grid != cam.grid:
         raise GridMismatchError("scene spectra are not on the camera grid; resample first")
-    s = integrate_sensitivity(spectral_product(light, surface), cam.omega)
-    e = s if cam.gamut is None else apply_gamut_map(cam.gamut, s)
-    return np.array(
-        [apply_response(e[k] * exposure_s, cam.response, k) for k in range(3)], dtype=int
-    )
+    return render(cam, spectral_product(light, surface).values[None, :], [exposure_s])[0, 0]

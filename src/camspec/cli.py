@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io
-from .camera import simulate_pixel
+from .camera import render
 from .errors import (
     ConvergenceError,
     DegenerateGeometryError,
@@ -28,7 +28,9 @@ from .errors import (
     SchemaVersionError,
     UnderdeterminedError,
 )
-from .gamut import GamutFitConfig, apply_gamut_map_batch, fit_gamut_map, partition_gamut, rgb_to_xy
+from .gamut import (
+    GamutFitConfig, apply_gamut_map_batch, chromaticity, fit_gamut_map, partition_gamut,
+)
 from .pipeline import (
     PipelineConfig,
     evaluate,
@@ -39,7 +41,7 @@ from .pipeline import (
 )
 from .response import ExposureStack, ResponseFitConfig, check_exposure_reciprocity, estimate_response
 from .sensitivity import build_basis, cross_validate, estimate_constrained, synthetic_database
-from .spectral import Kind, SpectralGrid, spectral_product
+from .spectral import Kind, SpectralGrid, radiance_rows
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -179,10 +181,7 @@ def _cmd_simulate(args) -> int:
     light = io.load_spectral_csv(base / scene["illuminant"], Kind.ILLUMINANT, cam.grid)[0]
     surfaces = io.load_spectral_csv(base / scene["reflectances"], Kind.REFLECTANCE, cam.grid)
     exposures = np.asarray([float(e) for e in scene["exposures"]], dtype=float)
-    samples = np.empty((len(surfaces), exposures.size, 3), dtype=int)
-    for j, surface in enumerate(surfaces):
-        for i, exposure in enumerate(exposures):
-            samples[j, i] = simulate_pixel(cam, light, surface, float(exposure))
+    samples = render(cam, radiance_rows([light], surfaces), exposures)
     stack = ExposureStack(exposures, samples, cam.bit_depth, cam.sat_lo, cam.sat_hi)
     io.save_stack_csv(run.out / "pixels.csv", stack)
     run.finish()
@@ -293,8 +292,8 @@ def _cmd_pipeline(args) -> int:
             "stage1": {
                 "inner_count": est.stage1.inner_count,
                 "outer_count": est.stage1.outer_count,
-                "response_fit_residual": est.stage1.response_fit_residual,
                 "reciprocity_max_abs": est.stage1.reciprocity.max_abs_deviation.tolist(),
+                "reciprocity_mean_abs": est.stage1.reciprocity.mean_abs_deviation.tolist(),
                 "reciprocity_n_pairs": est.stage1.reciprocity.n_pairs.tolist(),
                 "cv_sigma_max": float(cv.sigma.max()),
                 "cv_fold_rmse": cv.fold_rmse.tolist(),
@@ -324,24 +323,19 @@ def _cmd_export_chromaticity(args) -> int:
     run = _Run(args)
     cam = io.load_camera(run.track(args.camera))
     data = io.load_dataset(run.track(args.dataset))
-    rows = []
-    for a, light in enumerate(data.illuminants):
-        stack = data.stacks[a]
-        for j, surface in enumerate(data.reflectances):
-            p = spectral_product(light, surface).values
-            s = p @ cam.omega.channels
-            for i in range(stack.n_exposures):
-                if stack.triplet_valid[j, i]:
-                    rows.append(s)
-    if not rows:
+    # Row by row: S is written to chromaticity.csv, and a plain (N, M) @ (M, 3)
+    # product rounds some values differently in the last bit.
+    s = (radiance_rows(data.illuminants, data.reflectances)[:, None, :] @ cam.omega.channels)[:, 0]
+    valid_count = np.concatenate([stack.triplet_valid.sum(axis=1) for stack in data.stacks])
+    s_all = np.repeat(s, valid_count, axis=0)
+    if not s_all.size:
         raise PipelineError("no unsaturated samples to project")
-    s_all = np.asarray(rows)
     part = partition_gamut(s_all, args.alpha)
     regions = np.array(["outer"] * len(s_all), dtype=object)
     regions[part.inner_indices] = "inner"
     mapped = apply_gamut_map_batch(cam.gamut, s_all) if cam.gamut is not None else s_all
     magnitudes = np.linalg.norm(mapped - s_all, axis=1)
-    xy = np.array([rgb_to_xy(s) for s in s_all])
+    xy = chromaticity(s_all)
     io.save_chromaticity_csv(run.out / "chromaticity.csv", xy, regions, magnitudes)
     run.finish()
     return EXIT_OK
@@ -382,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-response", parents=[common], help="recover the response from a stack CSV")
     p.add_argument("--stack", required=True)
     p.add_argument("--bit-depth", type=int, default=8)
-    p.add_argument("--sat-lo", type=int, default=10)
-    p.add_argument("--sat-hi", type=int, default=230)
+    p.add_argument("--sat-lo", type=int, default=None, help="default: 10 scaled to the bit depth")
+    p.add_argument("--sat-hi", type=int, default=None, help="default: 230 scaled to the bit depth")
     p.add_argument("--smoothness", type=float, default=50.0)
     p.set_defaults(func=_cmd_fit_response)
 

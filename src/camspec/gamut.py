@@ -26,33 +26,44 @@ SRGB_TO_XYZ = np.array(
 SRGB_TO_XYZ.setflags(write=False)
 
 
-def _xy_of_xyz(xyz: np.ndarray) -> tuple[float, float]:
-    total = float(xyz.sum())
-    if total <= 0.0:
-        raise ValueError("chromaticity undefined: X+Y+Z is not positive")
-    return float(xyz[0] / total), float(xyz[1] / total)
+def chromaticity(points) -> np.ndarray:
+    """CIE 1931 (x, y) chromaticities of (N, 3) linear RGB points: (N, 2).
+
+    Scale invariant by construction; a point with X+Y+Z <= 0 has no
+    chromaticity and raises, naming the first such row.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"expected (N, 3) tristimulus points, got {pts.shape}")
+    # Row by row: a plain (N, 3) @ (3, 3) product rounds some XYZ values
+    # differently in the last bit, which would move written chromaticities.
+    xyz = (pts[:, None, :] @ SRGB_TO_XYZ.T)[:, 0]
+    total = xyz.sum(axis=1)
+    undefined = np.flatnonzero(total <= 0.0)
+    if undefined.size:
+        raise ValueError(
+            f"chromaticity undefined at point {undefined[0]}: X+Y+Z is not positive"
+        )
+    return xyz[:, :2] / total[:, None]
 
 
 def rgb_to_xy(s) -> tuple[float, float]:
-    """CIE 1931 (x, y) chromaticity of a linear RGB triplet.
-
-    Scale invariant by construction; an all-zero input has no chromaticity
-    and raises.
-    """
+    """(x, y) of one linear RGB triplet: one row of ``chromaticity``."""
     s = np.asarray(s, dtype=float)
     if s.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {s.shape}")
-    return _xy_of_xyz(SRGB_TO_XYZ @ s)
+    x, y = chromaticity(s[None, :])[0]
+    return float(x), float(y)
 
 
 def srgb_primaries_xy() -> np.ndarray:
     """(x, y) of the red, green, blue primaries under the declared matrix."""
-    return np.array([_xy_of_xyz(SRGB_TO_XYZ[:, k]) for k in range(3)])
+    return chromaticity(np.eye(3))
 
 
 def white_xy() -> tuple[float, float]:
     """(x, y) of the D65 white point (equal-RGB input) under the declared matrix."""
-    return _xy_of_xyz(SRGB_TO_XYZ.sum(axis=1))
+    return tuple(chromaticity(np.ones((1, 3)))[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -86,19 +97,11 @@ def partition_gamut(points, alpha: float) -> GamutPartition:
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != 3:
-        raise ValueError(f"expected (N, 3) tristimulus points, got {pts.shape}")
-    xy = np.empty((pts.shape[0], 2))
-    for i, s in enumerate(pts):
-        try:
-            xy[i] = rgb_to_xy(s)
-        except ValueError as exc:
-            raise ValueError(f"point {i} has no chromaticity: {exc}") from exc
+    xy = chromaticity(np.atleast_2d(points))
     w = np.array(white_xy())
     tri = w + alpha * (srgb_primaries_xy() - w)
     inner = _in_triangle(xy, tri)
-    idx = np.arange(pts.shape[0])
+    idx = np.arange(xy.shape[0])
     return GamutPartition(alpha, idx[inner], idx[~inner])
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .camera import CameraModel, ResponseCurve
+from .camera import CameraModel, ResponseCurve, default_thresholds
 from .errors import ParseError, SchemaVersionError
 from .gamut import RbfGamutMap
 from .pipeline import (
@@ -152,12 +152,13 @@ def save_stack_csv(path, stack: ExposureStack) -> None:
 
 
 def load_stack_csv(
-    path, bit_depth: int = 8, sat_lo: int = 10, sat_hi: int = 230
+    path, bit_depth: int = 8, sat_lo: int | None = None, sat_hi: int | None = None
 ) -> ExposureStack:
     """Read an exposure stack; every patch must list the same exposure sequence.
 
     Saturation flags are not stored in the file; they are recomputed from
-    the thresholds supplied here.
+    the thresholds supplied here, which default to 10/230 scaled to the bit
+    depth.
     """
     rows = _read_rows(path)
     if not rows or rows[0] != _STACK_HEADER:
@@ -190,7 +191,8 @@ def load_stack_csv(
             )
         for i, (_, codes) in enumerate(entries):
             samples[j, i] = codes
-    return ExposureStack(np.asarray(reference), samples, bit_depth, sat_lo, sat_hi)
+    lo, hi = default_thresholds(bit_depth, sat_lo, sat_hi)
+    return ExposureStack(np.asarray(reference), samples, bit_depth, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +206,7 @@ def save_database(directory, db: SensitivityDatabase) -> Path:
     entries = []
     for name, omega in db.entries:
         filename = f"{name}.csv"
-        with open(directory / filename, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["wavelength_nm", "omega_r", "omega_g", "omega_b"])
-            for i, w in enumerate(db.grid.wavelengths):
-                writer.writerow([repr(float(w)), *(repr(float(v)) for v in omega.channels[i])])
+        save_sensitivity_csv(directory / filename, omega)
         entries.append({"name": name, "file": filename})
     manifest = directory / "database.json"
     _dump_json(manifest, {"schema": SCHEMA_VERSION, "entries": entries})
@@ -230,14 +228,9 @@ def load_database(manifest_path, target_grid: SpectralGrid | None = None) -> Sen
     loaded = []
     grid = target_grid
     for entry in entries:
-        path = manifest_path.parent / entry["file"]
-        wl, names, values = load_spectral_table(path)
-        if names != ["omega_r", "omega_g", "omega_b"]:
-            raise ParseError(f"{path}:1: columns must be omega_r,omega_g,omega_b")
-        if grid is None:
-            grid = _grid_of(wl, path)
-        channels = np.column_stack([_onto_grid(wl, values[:, k], grid) for k in range(3)])
-        loaded.append((entry["name"], SensitivityMatrix(grid, channels)))
+        omega = load_sensitivity_csv(manifest_path.parent / entry["file"], grid)
+        grid = omega.grid
+        loaded.append((entry["name"], omega))
     if grid is None:
         raise ParseError(f"{manifest_path}: manifest lists no entries")
     return SensitivityDatabase(tuple(loaded), grid)

@@ -22,7 +22,7 @@ from .camera import (
     CameraModel,
     ResponseCurve,
     default_thresholds,
-    simulate_pixel,
+    render,
 )
 from .errors import GridMismatchError, PipelineError
 from .gamut import GamutFitConfig, RbfGamutMap, fit_gamut_map, partition_gamut
@@ -44,7 +44,7 @@ from .sensitivity import (
     synthetic_database,
     _gaussian,
 )
-from .spectral import Kind, SensitivityMatrix, SpectralCurve, SpectralGrid, spectral_product
+from .spectral import Kind, SensitivityMatrix, SpectralCurve, SpectralGrid, radiance_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +113,6 @@ class PipelineConfig:
 class Stage1Diagnostics:
     inner_count: int
     outer_count: int
-    response_fit_residual: float
     reciprocity: ReciprocityReport
     sensitivity_cv: CrossValidationReport
 
@@ -150,13 +149,7 @@ def _merge_stacks(inp: CalibrationInput) -> tuple[ExposureStack, np.ndarray]:
     merged = ExposureStack(
         first.exposures, samples, first.bit_depth, first.sat_lo, first.sat_hi
     )
-    p_rows = np.empty((merged.n_patches, inp.grid.count))
-    q = 0
-    for light in inp.illuminants:
-        for surface in inp.reflectances:
-            p_rows[q] = spectral_product(light, surface).values
-            q += 1
-    return merged, p_rows
+    return merged, radiance_rows(inp.illuminants, inp.reflectances)
 
 
 def _linearized(stack: ExposureStack, curve: ResponseCurve, q, i) -> np.ndarray:
@@ -263,7 +256,6 @@ def run_two_stage(
     stage1 = Stage1Diagnostics(
         inner_count=int(mask1.sum()),
         outer_count=int(vq.size - mask1.sum()),
-        response_fit_residual=float(np.nanmean(reciprocity.mean_abs_deviation)),
         reciprocity=reciprocity,
         sensitivity_cv=cv,
     )
@@ -322,19 +314,13 @@ def evaluate(
     cam = est.camera if isinstance(est, EstimatedCamera) else est
     if validation.grid != cam.grid:
         raise GridMismatchError("validation data is not on the camera grid")
-    measured_rows = []
-    predicted_rows = []
-    sat_rows = []
-    for a, light in enumerate(validation.illuminants):
-        stack = validation.stacks[a]
-        for j, surface in enumerate(validation.reflectances):
-            for i, exposure in enumerate(stack.exposures):
-                predicted_rows.append(simulate_pixel(cam, light, surface, float(exposure)))
-                measured_rows.append(stack.samples[j, i])
-                sat_rows.append(not stack.triplet_valid[j, i])
-    measured = np.array(measured_rows, dtype=int)
-    predicted = np.array(predicted_rows, dtype=int)
-    saturated = np.array(sat_rows, dtype=bool)
+    stacks = validation.stacks
+    predicted = np.concatenate([
+        render(cam, radiance_rows([light], validation.reflectances), stack.exposures).reshape(-1, 3)
+        for light, stack in zip(validation.illuminants, stacks)
+    ])
+    measured = np.concatenate([s.samples.reshape(-1, 3) for s in stacks])
+    saturated = ~np.concatenate([s.triplet_valid.reshape(-1) for s in stacks])
 
     n = measured.shape[0]
     return EvaluationReport(
@@ -365,7 +351,7 @@ def synthetic_camera(
     typical scenes land mid-range at exposures around a second. Thresholds
     default to 10/230 scaled proportionally to the bit depth.
     """
-    lo, hi = default_thresholds(bit_depth)
+    lo, hi = default_thresholds(bit_depth, sat_lo, sat_hi)
     wl = grid.wavelengths
     bumps = [
         _gaussian(wl, 605.0, 30.0),
@@ -380,8 +366,8 @@ def synthetic_camera(
         response=ResponseCurve.from_gamma(gamma, bit_depth),
         gamut=gamut,
         bit_depth=bit_depth,
-        sat_lo=lo if sat_lo is None else sat_lo,
-        sat_hi=hi if sat_hi is None else sat_hi,
+        sat_lo=lo,
+        sat_hi=hi,
     )
 
 
@@ -504,13 +490,9 @@ def generate_synthetic_dataset(
             SpectralCurve(grid, level * (0.25 + 0.75 * base), Kind.REFLECTANCE)
         )
 
-    stacks = []
-    for light in illuminants:
-        samples = np.empty((n_patches, exposures.size, 3), dtype=int)
-        for j, surface in enumerate(reflectances):
-            for i, exposure in enumerate(exposures):
-                samples[j, i] = simulate_pixel(truth, light, surface, float(exposure))
-        stacks.append(
-            ExposureStack(exposures, samples, truth.bit_depth, truth.sat_lo, truth.sat_hi)
-        )
+    codes = render(truth, radiance_rows(illuminants, reflectances), exposures)
+    stacks = [
+        ExposureStack(exposures, samples, truth.bit_depth, truth.sat_lo, truth.sat_hi)
+        for samples in codes.reshape(n_illuminants, n_patches, exposures.size, 3)
+    ]
     return CalibrationInput(grid, tuple(illuminants), tuple(reflectances), tuple(stacks))

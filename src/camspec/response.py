@@ -19,7 +19,6 @@ from .camera import (
     DEFAULT_SAT_LO,
     CHANNEL_NAMES,
     ResponseCurve,
-    invert_response,
 )
 from .errors import UnderdeterminedError
 from .solvers import strictly_increasing
@@ -208,27 +207,21 @@ def check_exposure_reciprocity(stack: ExposureStack, curve: ResponseCurve) -> Re
     """
     if curve.bit_depth != stack.bit_depth:
         raise ValueError("curve and stack bit depths differ")
-    n_exp = stack.n_exposures
-    max_dev = np.zeros(3)
-    sum_dev = np.zeros(3)
+    i1, i2 = np.triu_indices(stack.n_exposures, k=1)
+    ratio = stack.exposures[i1] / stack.exposures[i2]
+    max_dev = np.full(3, np.nan)
+    mean = np.full(3, np.nan)
     counts = np.zeros(3, dtype=int)
     for k in range(3):
+        lin = curve.g_inv[k][stack.samples[:, :, k]]
         valid = stack.channel_valid[:, :, k]
-        for j in range(stack.n_patches):
-            for i1 in range(n_exp):
-                if not valid[j, i1]:
-                    continue
-                inv1 = invert_response(stack.samples[j, i1, k], curve, k)
-                for i2 in range(i1 + 1, n_exp):
-                    if not valid[j, i2]:
-                        continue
-                    inv2 = invert_response(stack.samples[j, i2, k], curve, k)
-                    dev = abs(inv1 / inv2 - stack.exposures[i1] / stack.exposures[i2])
-                    max_dev[k] = max(max_dev[k], dev)
-                    sum_dev[k] += dev
-                    counts[k] += 1
+        dev = np.abs(lin[:, i1] / lin[:, i2] - ratio)[valid[:, i1] & valid[:, i2]]
+        counts[k] = dev.size
+        if dev.size:
+            max_dev[k] = dev.max()
+            # Sequential sum: the mean is written to reciprocity.json and
+            # diagnostics.json, and numpy's pairwise sum rounds differently.
+            mean[k] = np.add.accumulate(dev)[-1] / dev.size
     if counts.sum() == 0:
         raise UnderdeterminedError("no valid sample pairs; every triplet is saturated")
-    mean = np.where(counts > 0, sum_dev / np.maximum(counts, 1), np.nan)
-    max_out = np.where(counts > 0, max_dev, np.nan)
-    return ReciprocityReport(max_out, mean, counts)
+    return ReciprocityReport(max_dev, mean, counts)

@@ -142,6 +142,16 @@ def spectral_product(light: SpectralCurve, surface: SpectralCurve) -> SpectralCu
     return SpectralCurve(light.grid, light.values * surface.values, Kind.RADIANCE)
 
 
+def radiance_rows(lights, surfaces) -> np.ndarray:
+    """Scene radiance of every (illuminant, reflectance) pair as rows,
+    illuminant-major: (n_lights * n_surfaces, M)."""
+    if len({c.grid for c in (*lights, *surfaces)}) > 1:
+        raise GridMismatchError("scene spectra are sampled on different grids; resample first")
+    ill = np.stack([c.values for c in lights])
+    refl = np.stack([c.values for c in surfaces])
+    return (ill[:, None, :] * refl[None, :, :]).reshape(-1, ill.shape[1])
+
+
 def integrate_sensitivity(radiance: SpectralCurve, omega: SensitivityMatrix) -> np.ndarray:
     """Raw tristimulus: per-channel dot product of radiance with sensitivity.
 

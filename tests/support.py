@@ -50,6 +50,29 @@ def quantize_oracle(value: float, ln_e_row: np.ndarray) -> int:
     return z + 1 if frac >= 0.5 else z
 
 
+def reciprocity_oracle(samples, exposures, ln_e, sat_lo: int, sat_hi: int) -> list:
+    """Per channel (max, mean, count) of |g^-1(z1)/g^-1(z2) - e1/e2| over every
+    patch and exposure pair valid in that channel, summed in loop order;
+    (nan, nan, 0) for a channel without a valid pair."""
+    g_inv = np.exp(np.asarray(ln_e, dtype=float))
+    out = []
+    for k in range(3):
+        worst, total, count = 0.0, 0.0, 0
+        for patch in samples:
+            for i1 in range(len(exposures)):
+                for i2 in range(i1 + 1, len(exposures)):
+                    z1, z2 = int(patch[i1][k]), int(patch[i2][k])
+                    if not (sat_lo <= z1 <= sat_hi and sat_lo <= z2 <= sat_hi):
+                        continue
+                    ratio = float(g_inv[k, z1]) / float(g_inv[k, z2])
+                    dev = abs(ratio - float(exposures[i1]) / float(exposures[i2]))
+                    worst = max(worst, dev)
+                    total += dev
+                    count += 1
+        out.append((worst, total / count, count) if count else (np.nan, np.nan, 0))
+    return out
+
+
 def nnls_bruteforce(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Enumerate every support set; exact for small well-posed problems."""
     m, n = a.shape

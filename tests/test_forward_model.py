@@ -15,6 +15,7 @@ from camspec import (
     classify_saturation,
     interpolated_code,
     invert_response,
+    render,
     simulate_pixel,
     synthetic_camera,
     synthetic_gamut_warp,
@@ -196,6 +197,50 @@ class TestSimulatePixel:
                 cam.omega.channels, cam.response.ln_e, gamut_dict, light.values, surface.values, e
             )
             np.testing.assert_array_equal(simulate_pixel(cam, light, surface, e), expected)
+
+
+class TestRender:
+    @pytest.mark.parametrize("bit_depth", [8, 10])
+    @pytest.mark.parametrize("warped", [False, True])
+    def test_batch_matches_oracle_and_stacked_simulate_pixel(self, grid, bit_depth, warped):
+        warp = synthetic_gamut_warp(scale=1.2, strength=0.1, seed=4) if warped else None
+        cam = synthetic_camera(grid, gamma=2.2, gamut=warp, bit_depth=bit_depth)
+        gamut_dict = None if warp is None else {
+            "affine": warp.affine,
+            "centers": warp.centers,
+            "weights": warp.weights,
+            "width": warp.kernel_width,
+        }
+        rng = np.random.default_rng(11)
+        lights = [rng.uniform(0, 1, grid.count) for _ in range(30)] + [np.zeros(grid.count)]
+        surfaces = [rng.uniform(0, 1, grid.count) for _ in range(31)]
+        # 1e4 s overdrives every lit row to code_max; the dark row stays at 0.
+        exposures = np.array([0.3, 1.0, 2.5, 1e4])
+        codes = render(cam, np.stack(lights) * np.stack(surfaces), exposures)
+        assert codes.shape == (31, exposures.size, 3)
+        assert (codes == 0).any() and (codes == cam.code_max).any()
+        assert ((codes > 0) & (codes < cam.code_max)).any()
+        for n, (light, surface) in enumerate(zip(lights, surfaces)):
+            lc = SpectralCurve(grid, light, Kind.ILLUMINANT)
+            sc = SpectralCurve(grid, surface, Kind.REFLECTANCE)
+            for i, e in enumerate(exposures):
+                expected = eq1_pixel_oracle(
+                    cam.omega.channels, cam.response.ln_e, gamut_dict, light, surface, e
+                )
+                np.testing.assert_array_equal(codes[n, i], expected)
+                np.testing.assert_array_equal(codes[n, i], simulate_pixel(cam, lc, sc, e))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_rejects_nonpositive_exposure(self, grid, bad):
+        cam = synthetic_camera(grid)
+        with pytest.raises(ValueError, match="exposure must be positive"):
+            render(cam, np.ones((2, grid.count)), [1.0, bad])
+
+    @pytest.mark.parametrize("shape", [(2, 34), (2, 32), (33,)])
+    def test_rejects_rows_off_the_camera_grid(self, grid, shape):
+        cam = synthetic_camera(grid)
+        with pytest.raises(GridMismatchError):
+            render(cam, np.ones(shape), [1.0])
 
 
 class TestReciprocity:

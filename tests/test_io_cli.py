@@ -6,10 +6,12 @@ import pytest
 
 from camspec import (
     DEFAULT_GRID,
+    ExposureStack,
     Kind,
     MeasurementSet,
     PipelineConfig,
     SpectralCurve,
+    check_exposure_reciprocity,
     generate_synthetic_dataset,
     synthetic_camera,
     synthetic_database,
@@ -289,6 +291,49 @@ class TestCli:
         curve = io.response_from_dict(doc)
         assert curve.bit_depth == 8
         assert json.loads((out / "reciprocity.json").read_text())["n_pairs"]
+
+    def test_ten_bit_fit_response_scales_thresholds(self, tmp_path):
+        # Without --sat-lo/--sat-hi the 8-bit 10/230 thresholds scale to
+        # 40/923; keeping 10/230 would drop 48 of these 83 valid triplets.
+        warp = synthetic_gamut_warp(0.8, 0.06)
+        truth = synthetic_camera(GRID, 2.2, gamut=warp, bit_depth=10)
+        stack = generate_synthetic_dataset(truth, 1, 32, [0.5, 1.0, 2.0], seed=42).stacks[0]
+        path = tmp_path / "stack.csv"
+        io.save_stack_csv(path, stack)
+        loaded = io.load_stack_csv(path, bit_depth=10)
+        assert (loaded.sat_lo, loaded.sat_hi) == (40, 923)
+        assert int(loaded.triplet_valid.sum()) == 83
+        out = tmp_path / "fr"
+        assert run_cli(
+            "fit-response", "--stack", str(path), "--bit-depth", "10", "--out", str(out)
+        ) == 0
+        valid = loaded.channel_valid
+        pairs = [
+            int(sum((valid[:, a, k] & valid[:, b, k]).sum() for a, b in ((0, 1), (0, 2), (1, 2))))
+            for k in range(3)
+        ]
+        assert json.loads((out / "reciprocity.json").read_text())["n_pairs"] == pairs
+
+    def test_diagnostics_report_reciprocity_mean_per_channel(self, tmp_path):
+        data_dir = tmp_path / "data"
+        run_cli("synth", "--out", str(data_dir), "--seed", "7", "--warp-strength", "0.05")
+        out = tmp_path / "fit"
+        assert run_cli("pipeline", "--dataset", str(data_dir / "dataset.json"),
+                       "--out", str(out)) == 0
+        stage1 = json.loads((out / "diagnostics.json").read_text())["stage1"]
+        assert "response_fit_residual" not in stage1
+        keys = list(stage1)
+        assert keys[keys.index("reciprocity_max_abs") + 1] == "reciprocity_mean_abs"
+        data = io.load_dataset(data_dir / "dataset.json")
+        first = data.stacks[0]
+        merged = ExposureStack(
+            first.exposures, np.concatenate([s.samples for s in data.stacks]),
+            first.bit_depth, first.sat_lo, first.sat_hi,
+        )
+        cam = io.load_camera(out / "estimated_camera.json")
+        report = check_exposure_reciprocity(merged, cam.response)
+        assert stage1["reciprocity_mean_abs"] == report.mean_abs_deviation.tolist()
+        assert stage1["reciprocity_max_abs"] == report.max_abs_deviation.tolist()
 
     def test_fit_sensitivity_underdetermined_is_machine_readable(self, tmp_path, capsys):
         rng = np.random.default_rng(1)

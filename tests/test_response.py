@@ -15,6 +15,7 @@ from support import (
     gauge_aligned_code_error,
     levels_for_codes,
     loglog_exponent,
+    reciprocity_oracle,
 )
 
 EXPOSURES = [0.5, 1.0, 2.0]
@@ -154,3 +155,20 @@ class TestReciprocity:
         stack = ExposureStack(np.array([1.0, 2.0]), samples)
         with pytest.raises(UnderdeterminedError, match="pairs"):
             check_exposure_reciprocity(stack, gamma_camera.response)
+
+    def test_matches_loop_oracle_with_per_channel_saturation(self, gamma_camera):
+        # Random codes make validity differ between red and green; blue sits
+        # above sat_hi everywhere and has no valid pair.
+        rng = np.random.default_rng(12)
+        exposures = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
+        samples = rng.integers(0, 256, size=(40, exposures.size, 3))
+        samples[:, :, 2] = 240
+        stack = ExposureStack(exposures, samples)
+        report = check_exposure_reciprocity(stack, gamma_camera.response)
+        want = reciprocity_oracle(samples, exposures, gamma_camera.response.ln_e, 10, 230)
+        for k, (worst, mean, count) in enumerate(want):
+            assert report.n_pairs[k] == count
+            np.testing.assert_array_equal(report.max_abs_deviation[k], worst)
+            np.testing.assert_array_equal(report.mean_abs_deviation[k], mean)
+        assert report.n_pairs[0] != report.n_pairs[1] and report.n_pairs[0] > 0
+        assert np.isnan(report.max_abs_deviation[2]) and np.isnan(report.mean_abs_deviation[2])
