@@ -242,22 +242,9 @@ def _cmd_fit_sensitivity(args) -> int:
     return EXIT_OK
 
 
-def _load_gamut_samples(path) -> tuple[np.ndarray, np.ndarray]:
-    rows = io._read_rows(path)
-    header = ["S_r", "S_g", "S_b", "E_r", "E_g", "E_b"]
-    if not rows or rows[0] != header:
-        raise ParseError(f"{path}:1: header must be {','.join(header)}")
-    data = np.empty((len(rows) - 1, 6))
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 6:
-            raise ParseError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
-        data[lineno - 2] = [io._parse_float(tok, path, lineno, header[c]) for c, tok in enumerate(row)]
-    return data[:, :3], data[:, 3:]
-
-
 def _cmd_fit_gamut(args) -> int:
     run = _Run(args)
-    s_samples, e_targets = _load_gamut_samples(run.track(args.samples))
+    s_samples, e_targets = io.load_gamut_samples(run.track(args.samples))
     cfg = GamutFitConfig(
         max_centers=args.max_centers, ridge=args.ridge, kernel_width=args.kernel_width
     )
@@ -370,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common], help="forward-simulate a scene file")
     p.add_argument("--camera", required=True)
-    p.add_argument("--scene", required=True, help="scene JSON (illuminant, reflectances, exposures)")
+    p.add_argument("--scene", required=True,
+                   help="scene JSON (illuminant, reflectances, exposures); only the first "
+                        "column of the illuminant CSV is used")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("fit-response", parents=[common], help="recover the response from a stack CSV")

@@ -13,6 +13,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -45,19 +46,58 @@ def _require_schema(doc: dict, path) -> None:
         )
 
 
-def _read_rows(path) -> list[list[str]]:
+# ---------------------------------------------------------------------------
+# CSV tables: every format below reads via _read_table and writes via _write_table
+# ---------------------------------------------------------------------------
+
+
+def _read_table(path, header=None, text_columns=0) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Read a CSV table: (header, text cells (N, text_columns), numbers (N, rest)).
+
+    ``header``, if given, is the required first row. Every row must have the
+    header's width; blank rows are skipped and not counted in line numbers.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return [row for row in csv.reader(fh) if row]
+            rows = list(filter(None, csv.reader(fh)))
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-
-
-def _parse_float(token: str, path, line: int, column: str) -> float:
+    if header is not None and (not rows or rows[0] != header):
+        raise ParseError(f"{path}:1: header must be {','.join(header)}")
+    if not rows:
+        raise ParseError(f"{path}: empty file")
+    header, body, k = rows[0], rows[1:], text_columns
+    lengths = np.fromiter(map(len, body), dtype=int, count=len(body))
+    wrong = np.flatnonzero(lengths != len(header))
+    if wrong.size:
+        i, got = wrong[0], lengths[wrong[0]]
+        missing = f" (no column {header[got]!r})" if got < len(header) else ""
+        raise ParseError(f"{path}:{i + 2}: expected {len(header)} fields, got {got}{missing}")
+    text = np.array([row[:k] for row in body], dtype=str).reshape(len(body), k)
+    tokens = list(chain.from_iterable(row[k:] for row in body))
     try:
-        return float(token)
-    except ValueError as exc:
-        raise ParseError(f"{path}:{line}: column {column!r}: not a number: {token!r}") from exc
+        numbers = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
+    except ValueError:
+        for n, tok in enumerate(tokens):  # only on failure: find the first bad token
+            try:
+                float(tok)
+            except ValueError as exc:
+                i, c = divmod(n, len(header) - k)
+                raise ParseError(
+                    f"{path}:{i + 2}: column {header[k + c]!r}: not a number: {tok!r}"
+                ) from exc
+        raise
+    return header, text, numbers.reshape(len(body), len(header) - k)
+
+
+def _write_table(path, header, columns) -> None:
+    """Write equal-length columns as CSV in blocks of rows; floats go out as ``repr``."""
+    columns = [np.asarray(col) for col in columns]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(0, len(columns[0]), 4096):
+            writer.writerows(zip(*(col[i:i + 4096].tolist() for col in columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -67,31 +107,21 @@ def _parse_float(token: str, path, line: int, column: str) -> float:
 
 def load_spectral_table(path) -> tuple[np.ndarray, list[str], np.ndarray]:
     """Read a spectral CSV; returns (wavelengths, column names, values (M, n))."""
-    rows = _read_rows(path)
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    header = rows[0]
+    header, _text, values = _read_table(path)
     if header[0] != "wavelength_nm" or len(header) < 2:
         raise ParseError(
             f"{path}:1: header must start with 'wavelength_nm' followed by value columns"
         )
-    names = header[1:]
-    wl = []
-    values = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-        w = _parse_float(row[0], path, lineno, "wavelength_nm")
-        if wl and w <= wl[-1]:
-            raise ParseError(
-                f"{path}:{lineno}: wavelengths must be strictly increasing "
-                f"({w} after {wl[-1]})"
-            )
-        wl.append(w)
-        values.append([_parse_float(tok, path, lineno, names[c]) for c, tok in enumerate(row[1:])])
-    if len(wl) < 2:
+    wl = values[:, 0]
+    down = np.flatnonzero(np.diff(wl) <= 0)
+    if down.size:
+        i = down[0]
+        raise ParseError(
+            f"{path}:{i + 3}: wavelengths must be strictly increasing ({wl[i + 1]} after {wl[i]})"
+        )
+    if wl.size < 2:
         raise ParseError(f"{path}: need at least 2 wavelength rows")
-    return np.asarray(wl), names, np.asarray(values)
+    return wl, header[1:], values[:, 1:]
 
 
 def _grid_of(wl: np.ndarray, path) -> SpectralGrid:
@@ -128,11 +158,8 @@ def save_spectral_csv(path, curves, names=None) -> None:
         raise ValueError("all curves must share one grid")
     if names is None:
         names = ["value"] if len(curves) == 1 else [f"c{i:03d}" for i in range(len(curves))]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["wavelength_nm", *names])
-        for i, w in enumerate(grid.wavelengths):
-            writer.writerow([repr(float(w)), *(repr(float(c.values[i])) for c in curves)])
+    columns = [grid.wavelengths, *(c.values for c in curves)]
+    _write_table(path, ["wavelength_nm", *names], columns)
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +170,9 @@ _STACK_HEADER = ["patch_id", "exposure_s", "I_r", "I_g", "I_b"]
 
 
 def save_stack_csv(path, stack: ExposureStack) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_STACK_HEADER)
-        for j in range(stack.n_patches):
-            for i, e in enumerate(stack.exposures):
-                writer.writerow([j, repr(float(e)), *map(int, stack.samples[j, i])])
+    patch_ids = np.repeat(np.arange(stack.n_patches), stack.n_exposures)
+    exposures = np.tile(stack.exposures, stack.n_patches)
+    _write_table(path, _STACK_HEADER, [patch_ids, exposures, *stack.samples.reshape(-1, 3).T])
 
 
 def load_stack_csv(
@@ -156,43 +180,40 @@ def load_stack_csv(
 ) -> ExposureStack:
     """Read an exposure stack; every patch must list the same exposure sequence.
 
-    Saturation flags are not stored in the file; they are recomputed from
-    the thresholds supplied here, which default to 10/230 scaled to the bit
-    depth.
+    Rows are grouped by patch in order of first appearance and keep their
+    file order within a patch. Saturation flags are not stored in the file;
+    they are recomputed from the thresholds supplied here, which default to
+    10/230 scaled to the bit depth.
     """
-    rows = _read_rows(path)
-    if not rows or rows[0] != _STACK_HEADER:
-        raise ParseError(f"{path}:1: header must be {','.join(_STACK_HEADER)}")
-    per_patch: dict[str, list[tuple[float, list[int]]]] = {}
-    order: list[str] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 5:
-            raise ParseError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
-        patch = row[0]
-        exposure = _parse_float(row[1], path, lineno, "exposure_s")
-        codes = []
-        for c, name in enumerate(("I_r", "I_g", "I_b")):
-            v = _parse_float(row[2 + c], path, lineno, name)
-            if v != int(v):
-                raise ParseError(f"{path}:{lineno}: {name} must be an integer code, got {v}")
-            codes.append(int(v))
-        if patch not in per_patch:
-            per_patch[patch] = []
-            order.append(patch)
-        per_patch[patch].append((exposure, codes))
-    reference = [e for e, _ in per_patch[order[0]]]
-    samples = np.empty((len(order), len(reference), 3), dtype=int)
-    for j, patch in enumerate(order):
-        entries = per_patch[patch]
-        if [e for e, _ in entries] != reference:
-            raise ParseError(
-                f"{path}: patch {patch!r} does not list the shared exposure sequence "
-                f"{reference}"
-            )
-        for i, (_, codes) in enumerate(entries):
-            samples[j, i] = codes
+    _header, text, values = _read_table(path, _STACK_HEADER, text_columns=1)
+    if not len(values):
+        raise ParseError(f"{path}: no samples")
+    codes = values[:, 1:]
+    bad = np.argwhere(~np.isfinite(codes) | (codes != np.trunc(codes)))
+    if bad.size:
+        i, c = bad[0]
+        raise ParseError(
+            f"{path}:{i + 2}: {_STACK_HEADER[2 + c]} must be an integer code, got {codes[i, c]}"
+        )
+    ids, first, inverse = np.unique(text[:, 0], return_index=True, return_inverse=True)
+    by_first = np.argsort(first)  # patch number -> index into ids
+    patch = np.argsort(by_first)[inverse.ravel()]
+    rows = np.argsort(patch, kind="stable")
+    counts = np.bincount(patch)
+    n_exp = int(counts[0])
+    exposures = values[rows, 0]
+    shared = counts == n_exp
+    if shared.all():
+        shared[1:] = (exposures.reshape(-1, n_exp)[1:] == exposures[:n_exp]).all(axis=1)
+    if not shared.all():
+        patch_id = str(ids[by_first[np.argmin(shared)]])
+        raise ParseError(
+            f"{path}: patch {patch_id!r} does not list the shared exposure sequence "
+            f"{exposures[:n_exp].tolist()}"
+        )
+    samples = codes[rows].reshape(counts.size, n_exp, 3)
     lo, hi = default_thresholds(bit_depth, sat_lo, sat_hi)
-    return ExposureStack(np.asarray(reference), samples, bit_depth, lo, hi)
+    return ExposureStack(exposures[:n_exp], samples, bit_depth, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +261,8 @@ def load_database(manifest_path, target_grid: SpectralGrid | None = None) -> Sen
 # Measurement set: radiance CSV (one column per sample) + intensity CSV
 # ---------------------------------------------------------------------------
 
+_MEASUREMENT_HEADER = ["sample_id", "I_r", "I_g", "I_b", "valid"]
+
 
 def save_measurement_set(directory, m: MeasurementSet) -> tuple[Path, Path]:
     directory = Path(directory)
@@ -248,46 +271,37 @@ def save_measurement_set(directory, m: MeasurementSet) -> tuple[Path, Path]:
     curves = [SpectralCurve(m.grid, row, Kind.RADIANCE) for row in m.p]
     save_spectral_csv(radiance, curves, names=[f"s{i:04d}" for i in range(len(curves))])
     table = directory / "measurements.csv"
-    with open(table, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "I_r", "I_g", "I_b", "valid"])
-        for i in range(m.p.shape[0]):
-            writer.writerow(
-                [i, *(repr(float(v)) for v in m.i_linear[i]), int(m.valid[i])]
-            )
+    columns = [np.arange(len(m.valid)), *m.i_linear.T, m.valid.astype(int)]
+    _write_table(table, _MEASUREMENT_HEADER, columns)
     return radiance, table
 
 
 def load_measurement_set(
     radiance_path, measurements_path, target_grid: SpectralGrid | None = None
 ) -> MeasurementSet:
+    """Read a radiance CSV and its intensity table; ``valid`` must be 0 or 1."""
     curves = load_spectral_csv(radiance_path, Kind.RADIANCE, target_grid)
-    grid = curves[0].grid
-    rows = _read_rows(measurements_path)
-    if not rows or rows[0] != ["sample_id", "I_r", "I_g", "I_b", "valid"]:
-        raise ParseError(f"{measurements_path}:1: header must be sample_id,I_r,I_g,I_b,valid")
-    if len(rows) - 1 != len(curves):
+    _header, _ids, values = _read_table(measurements_path, _MEASUREMENT_HEADER, text_columns=1)
+    if len(values) != len(curves):
         raise ParseError(
-            f"{measurements_path}: {len(rows) - 1} samples but radiance file has "
+            f"{measurements_path}: {len(values)} samples but radiance file has "
             f"{len(curves)} columns"
         )
-    i_lin = np.empty((len(curves), 3))
-    valid = np.empty(len(curves), dtype=bool)
-    for lineno, row in enumerate(rows[1:], start=2):
-        idx = lineno - 2
-        for c, name in enumerate(("I_r", "I_g", "I_b")):
-            i_lin[idx, c] = _parse_float(row[1 + c], measurements_path, lineno, name)
-        valid[idx] = bool(int(_parse_float(row[4], measurements_path, lineno, "valid")))
-    return MeasurementSet(grid, np.stack([c.values for c in curves]), i_lin, valid)
+    valid = values[:, 3]
+    bad = np.flatnonzero((valid != 0) & (valid != 1))
+    if bad.size:
+        i = bad[0]
+        raise ParseError(
+            f"{measurements_path}:{i + 2}: column 'valid': must be 0 or 1, got {valid[i]}"
+        )
+    p = np.stack([c.values for c in curves])
+    return MeasurementSet(curves[0].grid, p, values[:, :3], valid == 1)
 
 
 def save_sensitivity_csv(path, omega: SensitivityMatrix) -> None:
     """Write a sensitivity matrix in the database per-camera CSV format."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["wavelength_nm", "omega_r", "omega_g", "omega_b"])
-        for i, w in enumerate(omega.grid.wavelengths):
-            writer.writerow([repr(float(w)), *(repr(float(v)) for v in omega.channels[i])])
+    columns = [omega.grid.wavelengths, *omega.channels.T]
+    _write_table(path, ["wavelength_nm", "omega_r", "omega_g", "omega_b"], columns)
 
 
 def load_sensitivity_csv(path, target_grid: SpectralGrid | None = None) -> SensitivityMatrix:
@@ -297,6 +311,12 @@ def load_sensitivity_csv(path, target_grid: SpectralGrid | None = None) -> Sensi
     grid = target_grid if target_grid is not None else _grid_of(wl, path)
     channels = np.column_stack([_onto_grid(wl, values[:, k], grid) for k in range(3)])
     return SensitivityMatrix(grid, channels)
+
+
+def load_gamut_samples(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read the fit-gamut CSV S_r,S_g,S_b,E_r,E_g,E_b: (S (N, 3), E (N, 3))."""
+    _header, _text, data = _read_table(path, ["S_r", "S_g", "S_b", "E_r", "E_g", "E_b"])
+    return data[:, :3], data[:, 3:]
 
 
 # ---------------------------------------------------------------------------
@@ -504,23 +524,20 @@ def save_evaluation_report(directory, report: EvaluationReport) -> tuple[Path, P
         },
     )
     scatter_path = directory / "scatter.csv"
-    with open(scatter_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["channel", "I", "I_hat", "saturated"])
-        for c, i_meas, i_hat, sat in zip(
-            report.channel, report.measured, report.predicted, report.is_saturated
-        ):
-            writer.writerow([int(c), int(i_meas), int(i_hat), int(sat)])
+    columns = (report.channel, report.measured, report.predicted, report.is_saturated)
+    _write_table(
+        scatter_path,
+        ["channel", "I", "I_hat", "saturated"],
+        [np.asarray(col).astype(int, copy=False) for col in columns],
+    )
     return report_path, scatter_path
 
 
 def save_chromaticity_csv(path, xy: np.ndarray, regions, magnitudes) -> None:
     """Fig-style export: x,y,region,magnitude rows for an external plotter."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "region", "magnitude"])
-        for (x, y), region, mag in zip(xy, regions, magnitudes):
-            writer.writerow([repr(float(x)), repr(float(y)), region, repr(float(mag))])
+    xy = np.asarray(xy, dtype=float)
+    columns = [*xy.T, np.asarray(regions, dtype=object), np.asarray(magnitudes, dtype=float)]
+    _write_table(path, ["x", "y", "region", "magnitude"], columns)
 
 
 # ---------------------------------------------------------------------------

@@ -87,14 +87,13 @@ class ExposureStack:
 class ResponseFitConfig:
     """Knobs of the log-domain solve.
 
-    ``smoothness_lambda`` scales the curvature penalty; ``anchor_code``
-    defaults to the mid code (ln g^-1 := 0 there). The data weighting is
+    ``smoothness_lambda`` scales the curvature penalty; the anchor is the
+    mid code (ln g^-1 := 0 there). The data weighting is
     the hat function min(z, z_max - z) over the full code range; saturated
     samples never enter the system in the first place.
     """
 
     smoothness_lambda: float = 50.0
-    anchor_code: int | None = None
 
     def __post_init__(self) -> None:
         if self.smoothness_lambda < 0:
@@ -129,9 +128,7 @@ def estimate_response(
             f"response estimation needs >= 2 distinct exposures, got {distinct.size}"
         )
     n = 2**stack.bit_depth
-    anchor = cfg.anchor_code if cfg.anchor_code is not None else n // 2
-    if not 0 <= anchor < n:
-        raise ValueError(f"anchor code {anchor} outside [0, {n})")
+    anchor = n // 2
 
     usable = stack.triplet_valid
     if sample_mask is not None:

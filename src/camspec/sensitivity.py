@@ -154,12 +154,11 @@ class SensitivityFit:
 
 
 def _fit_channel(
-    p: np.ndarray, y: np.ndarray, basis_k: np.ndarray, max_iter: int | None
+    p: np.ndarray, y: np.ndarray, basis_k: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    d = basis_k.shape[0]
     a = p @ basis_k.T  # (N, d)
     g = basis_k.T  # constraint: reconstructed curve >= 0 at every grid index
-    result = lsi(a, y, g, max_iter=max_iter if max_iter is not None else 100 * d)
+    result = lsi(a, y, g)
     omega_col = basis_k.T @ result.x
     # The solver certifies violations <= 1e-10; flush that dust to zero.
     omega_col = np.where(omega_col < 0, 0.0, omega_col)
@@ -167,9 +166,7 @@ def _fit_channel(
     return result.x, omega_col, rms
 
 
-def estimate_constrained(
-    m: MeasurementSet, basis: SensitivityBasis, max_iter: int | None = None
-) -> SensitivityFit:
+def estimate_constrained(m: MeasurementSet, basis: SensitivityBasis) -> SensitivityFit:
     """Basis-restricted least squares with the curve kept nonnegative.
 
     Per channel: min over c of ||(P B^T) c - I|| subject to (B^T c) >= 0
@@ -186,9 +183,7 @@ def estimate_constrained(
     cols = np.empty((m.grid.count, 3))
     rms = np.empty(3)
     for k in range(3):
-        coeffs[k], cols[:, k], rms[k] = _fit_channel(
-            p, i_lin[:, k], basis.channel_basis(k), max_iter
-        )
+        coeffs[k], cols[:, k], rms[k] = _fit_channel(p, i_lin[:, k], basis.channel_basis(k))
     return SensitivityFit(coeffs, SensitivityMatrix(m.grid, cols), rms)
 
 

@@ -10,7 +10,9 @@ from camspec import (
     Kind,
     MeasurementSet,
     PipelineConfig,
+    SensitivityMatrix,
     SpectralCurve,
+    SpectralGrid,
     check_exposure_reciprocity,
     generate_synthetic_dataset,
     synthetic_camera,
@@ -18,6 +20,7 @@ from camspec import (
     synthetic_gamut_warp,
 )
 from camspec import io
+from camspec.pipeline import EvaluationReport
 from camspec.errors import ParseError, SchemaVersionError
 
 GRID = DEFAULT_GRID
@@ -98,6 +101,37 @@ class TestStackCsv:
         np.testing.assert_array_equal(stack.exposures, [1.0, 2.0])
         np.testing.assert_array_equal(stack.samples[0], [[10, 11, 12], [30, 31, 32]])
         np.testing.assert_array_equal(stack.samples[1], [[20, 21, 22], [40, 41, 42]])
+
+    def test_shuffled_rows_group_like_a_loop(self, tmp_path):
+        # Patches keep their first-appearance order and rows their file order,
+        # as in a plain dict-of-lists grouping.
+        rng = np.random.default_rng(9)
+        ids = ["p9", "p10", "a", "z", "p1", "b"]
+        exposures = [0.5, 1.0, 2.0, 4.0]
+        rows = [(pid, e, *rng.integers(0, 256, 3)) for pid in ids for e in exposures]
+        order = []
+        queues = {pid: [r for r in rows if r[0] == pid] for pid in ids}
+        while any(queues.values()):
+            pid = rng.choice([k for k, q in queues.items() if q])
+            order.append(queues[pid].pop(0))
+        path = tmp_path / "stack.csv"
+        path.write_text(
+            "patch_id,exposure_s,I_r,I_g,I_b\n"
+            + "".join(f"{pid},{e},{r},{g},{b}\n" for pid, e, r, g, b in order),
+            encoding="utf-8",
+        )
+        grouped = {}
+        for pid, e, r, g, b in order:
+            grouped.setdefault(pid, []).append([r, g, b])
+        stack = io.load_stack_csv(path)
+        np.testing.assert_array_equal(stack.exposures, exposures)
+        np.testing.assert_array_equal(stack.samples, np.array(list(grouped.values())))
+
+    def test_header_only_stack_rejected(self, tmp_path):
+        path = tmp_path / "stack.csv"
+        path.write_text("patch_id,exposure_s,I_r,I_g,I_b\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="no samples"):
+            io.load_stack_csv(path)
 
     def test_fractional_code_rejected(self, tmp_path):
         path = tmp_path / "stack.csv"
@@ -203,6 +237,136 @@ class TestDatasetIo:
 
 
 from support import run_cli, tree_digest  # noqa: E402
+
+
+TINY_GRID = SpectralGrid(400.0, 10.0, 3)
+
+
+def _write_spectral(tmp_path):
+    curves = [
+        SpectralCurve(TINY_GRID, [0.1, 1 / 3, 2.5e20], Kind.ILLUMINANT),
+        SpectralCurve(TINY_GRID, [1e-20, 0.0, 7.0], Kind.ILLUMINANT),
+    ]
+    io.save_spectral_csv(tmp_path / "spectral.csv", curves, names=["a", "b"])
+    return tmp_path / "spectral.csv"
+
+
+def _write_stack(tmp_path):
+    samples = [[[10, 20, 30], [40, 50, 60]], [[0, 128, 255], [7, 8, 9]]]
+    io.save_stack_csv(tmp_path / "stack.csv", ExposureStack([0.5, 1.0], samples))
+    return tmp_path / "stack.csv"
+
+
+def _write_sensitivity(tmp_path):
+    channels = [[0.1, 0.2, 0.3], [1e-5, 0.5, 1 / 3], [0.0, 1e20, 2.0]]
+    io.save_sensitivity_csv(tmp_path / "omega.csv", SensitivityMatrix(TINY_GRID, channels))
+    return tmp_path / "omega.csv"
+
+
+def _write_measurements(tmp_path):
+    m = MeasurementSet(
+        TINY_GRID, np.ones((2, 3)), [[0.1, 2.0, 1 / 3], [1e-7, 0.0, 5.5]], [True, False]
+    )
+    return io.save_measurement_set(tmp_path, m)[1]
+
+
+def _write_scatter(tmp_path):
+    report = EvaluationReport(
+        None, None,
+        channel=np.array([0, 1, 2]),
+        measured=np.array([12, 200, 255]),
+        predicted=np.array([13, 199, 250]),
+        is_saturated=np.array([False, False, True]),
+    )
+    return io.save_evaluation_report(tmp_path, report)[1]
+
+
+def _write_chromaticity(tmp_path):
+    xy = np.array([[0.3127, 0.329], [1 / 3, 0.6]])
+    regions = np.array(["inner", "outer"], dtype=object)
+    io.save_chromaticity_csv(tmp_path / "chroma.csv", xy, regions, np.array([0.0, 1.25e-3]))
+    return tmp_path / "chroma.csv"
+
+
+class TestTableBytes:
+    """Every table writer's exact output: CRLF rows, repr floats, integer codes."""
+
+    @pytest.mark.parametrize(
+        "write, expected",
+        [
+            pytest.param(
+                _write_spectral,
+                "wavelength_nm,a,b\r\n400.0,0.1,1e-20\r\n"
+                "410.0,0.3333333333333333,0.0\r\n420.0,2.5e+20,7.0\r\n",
+                id="spectral",
+            ),
+            pytest.param(
+                _write_stack,
+                "patch_id,exposure_s,I_r,I_g,I_b\r\n0,0.5,10,20,30\r\n0,1.0,40,50,60\r\n"
+                "1,0.5,0,128,255\r\n1,1.0,7,8,9\r\n",
+                id="stack",
+            ),
+            pytest.param(
+                _write_sensitivity,
+                "wavelength_nm,omega_r,omega_g,omega_b\r\n400.0,0.1,0.2,0.3\r\n"
+                "410.0,1e-05,0.5,0.3333333333333333\r\n420.0,0.0,1e+20,2.0\r\n",
+                id="sensitivity",
+            ),
+            pytest.param(
+                _write_measurements,
+                "sample_id,I_r,I_g,I_b,valid\r\n0,0.1,2.0,0.3333333333333333,1\r\n"
+                "1,1e-07,0.0,5.5,0\r\n",
+                id="measurements",
+            ),
+            pytest.param(
+                _write_scatter,
+                "channel,I,I_hat,saturated\r\n0,12,13,0\r\n1,200,199,0\r\n2,255,250,1\r\n",
+                id="scatter",
+            ),
+            pytest.param(
+                _write_chromaticity,
+                "x,y,region,magnitude\r\n0.3127,0.329,inner,0.0\r\n"
+                "0.3333333333333333,0.6,outer,0.00125\r\n",
+                id="chromaticity",
+            ),
+        ],
+    )
+    def test_exact_bytes(self, tmp_path, write, expected):
+        assert write(tmp_path).read_bytes() == expected.encode("utf-8")
+
+    @staticmethod
+    def _wide(rng, shape):
+        """Floats spread log-uniformly over 1e-20 .. 1e20."""
+        return 10.0 ** rng.uniform(-20, 20, size=shape) * rng.uniform(1, 10, size=shape)
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(21)
+        curves = [SpectralCurve(GRID, self._wide(rng, GRID.count), Kind.RADIANCE)
+                  for _ in range(4)]
+        stack = ExposureStack(
+            [0.25, 0.5, 2.0], rng.integers(0, 1024, size=(5, 3, 3)), bit_depth=10
+        )
+        omega = SensitivityMatrix(GRID, self._wide(rng, (GRID.count, 3)))
+        m = MeasurementSet(
+            GRID, self._wide(rng, (6, GRID.count)), self._wide(rng, (6, 3)),
+            rng.uniform(size=6) > 0.5,
+        )
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir()
+        b.mkdir()
+        io.save_spectral_csv(a / "spectral.csv", curves)
+        io.save_spectral_csv(b / "spectral.csv", io.load_spectral_csv(a / "spectral.csv",
+                                                                        Kind.RADIANCE))
+        io.save_stack_csv(a / "stack.csv", stack)
+        io.save_stack_csv(b / "stack.csv", io.load_stack_csv(a / "stack.csv", bit_depth=10))
+        io.save_sensitivity_csv(a / "omega.csv", omega)
+        io.save_sensitivity_csv(b / "omega.csv", io.load_sensitivity_csv(a / "omega.csv"))
+        radiance, table = io.save_measurement_set(a / "m", m)
+        io.save_measurement_set(b / "m", io.load_measurement_set(radiance, table))
+        assert len(tree_digest(a)) == 5
+        assert tree_digest(a) == tree_digest(b)
+
+
 
 
 class TestCli:
@@ -453,3 +617,49 @@ class TestCli:
         ) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["effective_config"]["alpha"] == 0.9
+
+
+class TestMalformedTables:
+    """Malformed tables raise ParseError naming the file, the line and the column."""
+
+    def test_short_measurement_row_exits_3(self, tmp_path, capsys):
+        m = MeasurementSet(
+            GRID, np.ones((8, GRID.count)), np.ones((8, 3)), np.ones(8, dtype=bool)
+        )
+        radiance, table = io.save_measurement_set(tmp_path, m)
+        lines = table.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        table.write_text("\n".join(lines) + "\n")
+        code = run_cli(
+            "fit-sensitivity", "--radiance", str(radiance),
+            "--measurements", str(table), "--out", str(tmp_path / "out"),
+        )
+        assert code == 3
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ParseError"
+        assert "measurements.csv:3:" in err["message"]
+        assert "'valid'" in err["message"]
+
+    @pytest.mark.parametrize("flag", ["0.5", "2", "nan"])
+    def test_valid_flag_must_be_zero_or_one(self, tmp_path, flag):
+        m = MeasurementSet(
+            GRID, np.ones((3, GRID.count)), np.ones((3, 3)), np.ones(3, dtype=bool)
+        )
+        radiance, table = io.save_measurement_set(tmp_path, m)
+        lines = table.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + "," + flag
+        table.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"measurements\.csv:4: column 'valid'"):
+            io.load_measurement_set(radiance, table)
+
+    @pytest.mark.parametrize("code", ["inf", "nan", "-inf"])
+    def test_non_finite_stack_code_exits_3(self, tmp_path, capsys, code):
+        stack = tmp_path / "stack.csv"
+        stack.write_text(
+            "patch_id,exposure_s,I_r,I_g,I_b\n"
+            "0,1.0,10,11,12\n0,2.0,20," + code + ",22\n", encoding="utf-8"
+        )
+        assert run_cli("fit-response", "--stack", str(stack), "--out", str(tmp_path / "o")) == 3
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ParseError"
+        assert "stack.csv:3: I_g must be an integer code" in err["message"]
