@@ -51,17 +51,19 @@ def _require_schema(doc: dict, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _read_table(path, header=None, text_columns=0) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Read a CSV table: (header, text cells (N, text_columns), numbers (N, rest)).
+def _read_table(path, header=None, text_columns=0) -> tuple[list, np.ndarray, np.ndarray, list]:
+    """Read a CSV table: (header, text cells (N, text_columns), numbers (N, rest), lines).
 
     ``header``, if given, is the required first row. Every row must have the
-    header's width; blank rows are skipped and not counted in line numbers.
+    header's width. Blank rows are skipped; ``lines`` are the rows' file lines.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(filter(None, csv.reader(fh)))
+            reader = csv.reader(fh)
+            numbered = [(reader.line_num, row) for row in reader if row]
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    lines, rows = [n for n, _ in numbered[1:]], [row for _, row in numbered]
     if header is not None and (not rows or rows[0] != header):
         raise ParseError(f"{path}:1: header must be {','.join(header)}")
     if not rows:
@@ -72,7 +74,7 @@ def _read_table(path, header=None, text_columns=0) -> tuple[list[str], np.ndarra
     if wrong.size:
         i, got = wrong[0], lengths[wrong[0]]
         missing = f" (no column {header[got]!r})" if got < len(header) else ""
-        raise ParseError(f"{path}:{i + 2}: expected {len(header)} fields, got {got}{missing}")
+        raise ParseError(f"{path}:{lines[i]}: expected {len(header)} fields, got {got}{missing}")
     text = np.array([row[:k] for row in body], dtype=str).reshape(len(body), k)
     tokens = list(chain.from_iterable(row[k:] for row in body))
     try:
@@ -84,10 +86,10 @@ def _read_table(path, header=None, text_columns=0) -> tuple[list[str], np.ndarra
             except ValueError as exc:
                 i, c = divmod(n, len(header) - k)
                 raise ParseError(
-                    f"{path}:{i + 2}: column {header[k + c]!r}: not a number: {tok!r}"
+                    f"{path}:{lines[i]}: column {header[k + c]!r}: not a number: {tok!r}"
                 ) from exc
         raise
-    return header, text, numbers.reshape(len(body), len(header) - k)
+    return header, text, numbers.reshape(len(body), len(header) - k), lines
 
 
 def _write_table(path, header, columns) -> None:
@@ -107,7 +109,7 @@ def _write_table(path, header, columns) -> None:
 
 def load_spectral_table(path) -> tuple[np.ndarray, list[str], np.ndarray]:
     """Read a spectral CSV; returns (wavelengths, column names, values (M, n))."""
-    header, _text, values = _read_table(path)
+    header, _text, values, lines = _read_table(path)
     if header[0] != "wavelength_nm" or len(header) < 2:
         raise ParseError(
             f"{path}:1: header must start with 'wavelength_nm' followed by value columns"
@@ -117,7 +119,8 @@ def load_spectral_table(path) -> tuple[np.ndarray, list[str], np.ndarray]:
     if down.size:
         i = down[0]
         raise ParseError(
-            f"{path}:{i + 3}: wavelengths must be strictly increasing ({wl[i + 1]} after {wl[i]})"
+            f"{path}:{lines[i + 1]}: wavelengths must be strictly increasing "
+            f"({wl[i + 1]} after {wl[i]})"
         )
     if wl.size < 2:
         raise ParseError(f"{path}: need at least 2 wavelength rows")
@@ -185,7 +188,7 @@ def load_stack_csv(
     they are recomputed from the thresholds supplied here, which default to
     10/230 scaled to the bit depth.
     """
-    _header, text, values = _read_table(path, _STACK_HEADER, text_columns=1)
+    _header, text, values, lines = _read_table(path, _STACK_HEADER, text_columns=1)
     if not len(values):
         raise ParseError(f"{path}: no samples")
     codes = values[:, 1:]
@@ -193,7 +196,7 @@ def load_stack_csv(
     if bad.size:
         i, c = bad[0]
         raise ParseError(
-            f"{path}:{i + 2}: {_STACK_HEADER[2 + c]} must be an integer code, got {codes[i, c]}"
+            f"{path}:{lines[i]}: {_STACK_HEADER[2 + c]} must be an integer code, got {codes[i, c]}"
         )
     ids, first, inverse = np.unique(text[:, 0], return_index=True, return_inverse=True)
     by_first = np.argsort(first)  # patch number -> index into ids
@@ -281,7 +284,7 @@ def load_measurement_set(
 ) -> MeasurementSet:
     """Read a radiance CSV and its intensity table; ``valid`` must be 0 or 1."""
     curves = load_spectral_csv(radiance_path, Kind.RADIANCE, target_grid)
-    _header, _ids, values = _read_table(measurements_path, _MEASUREMENT_HEADER, text_columns=1)
+    _, _, values, lines = _read_table(measurements_path, _MEASUREMENT_HEADER, text_columns=1)
     if len(values) != len(curves):
         raise ParseError(
             f"{measurements_path}: {len(values)} samples but radiance file has "
@@ -292,7 +295,7 @@ def load_measurement_set(
     if bad.size:
         i = bad[0]
         raise ParseError(
-            f"{measurements_path}:{i + 2}: column 'valid': must be 0 or 1, got {valid[i]}"
+            f"{measurements_path}:{lines[i]}: column 'valid': must be 0 or 1, got {valid[i]}"
         )
     p = np.stack([c.values for c in curves])
     return MeasurementSet(curves[0].grid, p, values[:, :3], valid == 1)
@@ -315,7 +318,7 @@ def load_sensitivity_csv(path, target_grid: SpectralGrid | None = None) -> Sensi
 
 def load_gamut_samples(path) -> tuple[np.ndarray, np.ndarray]:
     """Read the fit-gamut CSV S_r,S_g,S_b,E_r,E_g,E_b: (S (N, 3), E (N, 3))."""
-    _header, _text, data = _read_table(path, ["S_r", "S_g", "S_b", "E_r", "E_g", "E_b"])
+    _header, _text, data, _lines = _read_table(path, ["S_r", "S_g", "S_b", "E_r", "E_g", "E_b"])
     return data[:, :3], data[:, 3:]
 
 

@@ -1,10 +1,10 @@
 """Response recovery from an exposure stack and the reciprocity check.
 
-The estimator solves the log-domain linear system of the classic
-high-dynamic-range formulation: unknowns are ln g^-1 at every code plus
-one log-exposure per patch, tied together by hat-weighted data equations,
+The estimator solves the log-domain least-squares problem of Debevec & Malik
+(1997): hat-weighted data equations ln g^-1(z) - ln E_patch = ln t,
 curvature (smoothness) penalties, and a mid-code anchor that fixes the
-arbitrary overall scale.
+arbitrary overall scale. Each patch's ln E is eliminated in closed form
+(variable projection), so only the 2^bits code unknowns are solved for.
 """
 
 from __future__ import annotations
@@ -117,9 +117,10 @@ def estimate_response(
     subset of samples (the pipeline passes inner-gamut membership); it is
     intersected with the stack's own validity flags.
 
-    The smoothness rows tie every code to its neighbors, so codes the data
-    never reaches are filled by curvature-minimizing extension; the final
-    table is projected to be strictly increasing.
+    Each patch's ln E, a w^2-weighted mean for fixed g, is eliminated in
+    closed form, so the solve has 2^bits columns whatever the patch count.
+    Smoothness rows fill codes the data never reaches by curvature-minimizing
+    extension; the final table is projected to be strictly increasing.
     """
     cfg = cfg or ResponseFitConfig()
     distinct = np.unique(stack.exposures)
@@ -139,7 +140,6 @@ def estimate_response(
 
     w_of = hat_weights(n)
     log_e = np.log(stack.exposures)
-    n_patches = stack.n_patches
 
     smooth_z = np.arange(1, n - 1)
     tables = np.empty((3, n))
@@ -156,14 +156,18 @@ def estimate_response(
             deficient.append(CHANNEL_NAMES[k])
             continue
 
-        n_rows = codes.size + smooth_z.size + 1
-        a = np.zeros((n_rows, n + n_patches))
-        b = np.zeros(n_rows)
-        rows = np.arange(codes.size)
-        a[rows, codes] = w
-        a[rows, n + pj] = -w
-        b[rows] = w * log_e[ei]
+        # Data rows minus their patch's w^2-weighted means; w > 0, so no 0/0.
+        w2 = w * w
+        w2_sum = np.bincount(pj, w2)[pj]
+        mean_g = np.zeros((stack.n_patches, n))
+        np.add.at(mean_g, (pj, codes), w2)
+        mean_t = np.bincount(pj, w2 * log_e[ei])[pj] / w2_sum
         r0 = codes.size
+        a = np.zeros((r0 + smooth_z.size + 1, n))
+        b = np.zeros(a.shape[0])
+        np.multiply(mean_g[pj], (-w / w2_sum)[:, None], out=a[:r0])
+        a[np.arange(r0), codes] += w
+        b[:r0] = w * (log_e[ei] - mean_t)
         sw = cfg.smoothness_lambda * w_of[smooth_z]
         rows = r0 + np.arange(smooth_z.size)
         a[rows, smooth_z - 1] = sw
@@ -172,7 +176,7 @@ def estimate_response(
         a[r0 + smooth_z.size, anchor] = 1.0
 
         solution, *_ = np.linalg.lstsq(a, b, rcond=None)
-        table = solution[:n] - solution[anchor]  # exact re-anchor
+        table = solution - solution[anchor]  # exact re-anchor
         tables[k] = strictly_increasing(table)
 
     if deficient:

@@ -73,6 +73,54 @@ def reciprocity_oracle(samples, exposures, ln_e, sat_lo: int, sat_hi: int) -> li
     return out
 
 
+def response_dense_oracle(stack, lam: float = 50.0, mask=None) -> np.ndarray:
+    """ln g^-1 tables (3, 2^bits) from the Debevec & Malik system with one
+    unknown per code and one log-exposure per patch, built row by row and
+    solved as one dense least-squares problem.
+
+    Rows: hat-weighted w (x[z] - y[patch]) = w ln t for every unsaturated
+    triplet (inside ``mask``, if given) whose code has w > 0, lam-scaled
+    hat-weighted second differences at every interior code, and x[mid] = 0.
+    The library eliminates the patch unknowns instead; only the final
+    monotone projection, ``camspec.solvers.strictly_increasing``, is shared.
+    """
+    from camspec.solvers import strictly_increasing
+
+    n = 2**stack.bit_depth
+    n_patch, n_exp = stack.samples.shape[:2]
+    mid = n // 2
+    weight = [float(min(z, n - 1 - z)) for z in range(n)]
+    tables = np.empty((3, n))
+    for k in range(3):
+        rows, rhs = [], []
+        for j in range(n_patch):
+            for i in range(n_exp):
+                triplet = [int(z) for z in stack.samples[j, i]]
+                if not all(stack.sat_lo <= z <= stack.sat_hi for z in triplet):
+                    continue
+                if mask is not None and not mask[j][i]:
+                    continue
+                z = triplet[k]
+                if weight[z] == 0.0:
+                    continue
+                row = np.zeros(n + n_patch)
+                row[z], row[n + j] = weight[z], -weight[z]
+                rows.append(row)
+                rhs.append(weight[z] * float(np.log(stack.exposures[i])))
+        for z in range(1, n - 1):
+            row = np.zeros(n + n_patch)
+            row[z - 1], row[z], row[z + 1] = (lam * weight[z] * c for c in (1.0, -2.0, 1.0))
+            rows.append(row)
+            rhs.append(0.0)
+        row = np.zeros(n + n_patch)
+        row[mid] = 1.0
+        rows.append(row)
+        rhs.append(0.0)
+        solution, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
+        tables[k] = strictly_increasing(solution[:n] - solution[mid])
+    return tables
+
+
 def nnls_bruteforce(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Enumerate every support set; exact for small well-posed problems."""
     m, n = a.shape

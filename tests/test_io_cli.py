@@ -663,3 +663,47 @@ class TestMalformedTables:
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "ParseError"
         assert "stack.csv:3: I_g must be an integer code" in err["message"]
+
+
+class TestBlankLines:
+    """Blank rows are skipped, and every error still names the physical line."""
+
+    SPECTRAL = "wavelength_nm,v\n400,1\n\n"
+    STACK = "patch_id,exposure_s,I_r,I_g,I_b\n0,1.0,10,11,12\n\n"
+
+    @pytest.mark.parametrize(
+        "body, load, message",
+        [
+            (SPECTRAL + "410,x\n", io.load_spectral_table, ":4: column 'v': not a number: 'x'"),
+            (SPECTRAL + "410\n", io.load_spectral_table, ":4: expected 2 fields, got 1"),
+            (SPECTRAL + "\r\n390,1\r\n", io.load_spectral_table,
+             ":5: wavelengths must be strictly increasing"),
+            (STACK + "0,2.0,20,2.5,22\n", io.load_stack_csv, ":4: I_g must be an integer code"),
+        ],
+        ids=["number", "width", "order", "stack-code"],
+    )
+    def test_error_names_the_physical_line(self, tmp_path, body, load, message):
+        path = tmp_path / "blank.csv"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}{message}")
+
+    def test_measurement_valid_flag_after_blank_lines(self, tmp_path):
+        m = MeasurementSet(
+            GRID, np.ones((3, GRID.count)), np.ones((3, 3)), np.ones(3, dtype=bool)
+        )
+        radiance, table = io.save_measurement_set(tmp_path, m)
+        lines = table.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",2"
+        table.write_text("\n".join(lines[:2] + ["", ""] + lines[2:]) + "\n")
+        with pytest.raises(ParseError, match=r"measurements\.csv:6: column 'valid'"):
+            io.load_measurement_set(radiance, table)
+
+    def test_blank_rows_do_not_change_the_values(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("\n" + self.SPECTRAL + "410,2\n\n", encoding="utf-8")
+        wl, names, values = io.load_spectral_table(path)
+        np.testing.assert_array_equal(wl, [400.0, 410.0])
+        assert names == ["v"]
+        np.testing.assert_array_equal(values, [[1.0], [2.0]])

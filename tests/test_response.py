@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from support import (
     levels_for_codes,
     loglog_exponent,
     reciprocity_oracle,
+    response_dense_oracle,
 )
 
 EXPOSURES = [0.5, 1.0, 2.0]
@@ -32,6 +35,22 @@ def gamma_camera():
 def gamma_stack(gamma_camera):
     levels = levels_for_codes(gamma_camera, cluster_target_codes(), gamma=2.2)
     return flat_patch_stack(gamma_camera, levels, EXPOSURES)
+
+
+def synthetic_stack(bit_depth: int, n_illuminants: int, n_patches: int, seed: int = 3):
+    """Merged stack of a warped gamma-2.2 camera's synthetic calibration set."""
+    from camspec import DEFAULT_GRID, generate_synthetic_dataset, synthetic_gamut_warp
+
+    cam = synthetic_camera(DEFAULT_GRID, 2.2, gamut=synthetic_gamut_warp(0.8, 0.06),
+                           bit_depth=bit_depth)
+    data = generate_synthetic_dataset(cam, n_illuminants, n_patches, EXPOSURES, seed)
+    samples = np.concatenate([s.samples for s in data.stacks], axis=0)
+    return ExposureStack(data.stacks[0].exposures, samples, bit_depth, cam.sat_lo, cam.sat_hi)
+
+
+@pytest.fixture(scope="module")
+def synthetic_8bit():
+    return synthetic_stack(8, 2, 24)
 
 
 class TestExposureStack:
@@ -127,6 +146,83 @@ class TestEstimateResponse:
         mask[:, 2] = False  # drop one exposure; still two distinct left
         fit_masked = estimate_response(gamma_stack, sample_mask=mask)
         assert not np.allclose(fit_masked.ln_e, fit_plain.ln_e)
+
+
+class TestAgainstDenseOracle:
+    """The patch-eliminated solve against the dense system with one column
+    per patch (tests/support.py)."""
+
+    @pytest.mark.parametrize("case", ["gamma", "synthetic", "synthetic-masked", "ten-bit"])
+    def test_matches_dense_system_with_patch_unknowns(self, request, case):
+        mask = None
+        if case == "gamma":
+            stack = request.getfixturevalue("gamma_stack")
+        elif case == "ten-bit":
+            stack = synthetic_stack(10, 1, 8)
+        else:
+            stack = request.getfixturevalue("synthetic_8bit")
+            if case == "synthetic-masked":
+                rng = np.random.default_rng(5)
+                mask = rng.random((stack.n_patches, stack.n_exposures)) < 0.7
+        fit = estimate_response(stack, sample_mask=mask)
+        want = response_dense_oracle(stack, 50.0, mask)
+        assert np.abs(fit.ln_e - want).max() <= 1e-9
+
+
+class TestPatchElimination:
+    """Patches with too few usable samples carry no information once their
+    log-exposure is eliminated; they must drop out without a trace."""
+
+    @pytest.mark.parametrize("kept", [0, 1])
+    def test_patch_masked_to_few_samples_equals_dropping_it(self, synthetic_8bit, kept):
+        stack = synthetic_8bit
+        j = int(np.flatnonzero(stack.triplet_valid.all(axis=1))[0])
+        mask = np.ones((stack.n_patches, stack.n_exposures), dtype=bool)
+        mask[j, kept:] = False
+        fit = estimate_response(stack, sample_mask=mask)
+        dropped = estimate_response(ExposureStack(
+            stack.exposures, np.delete(stack.samples, j, axis=0),
+            stack.bit_depth, stack.sat_lo, stack.sat_hi,
+        ))
+        assert np.abs(fit.ln_e - dropped.ln_e).max() <= 1e-9
+
+    def test_patch_without_usable_sample_raises_no_warning(self, synthetic_8bit):
+        mask = np.ones((synthetic_8bit.n_patches, synthetic_8bit.n_exposures), dtype=bool)
+        mask[::3] = False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = estimate_response(synthetic_8bit, sample_mask=mask)
+        assert np.isfinite(fit.ln_e).all()
+
+    def test_one_sample_per_patch_is_underdetermined_in_every_channel(self, synthetic_8bit):
+        # Each patch alone pins only its own log-exposure, so the data says
+        # nothing about g.
+        mask = np.zeros((synthetic_8bit.n_patches, synthetic_8bit.n_exposures), dtype=bool)
+        mask[:, 1] = True
+        with pytest.raises(
+            UnderdeterminedError,
+            match=r"^response system underdetermined for channel\(s\) r, g, b: "
+            r"not enough unsaturated samples$",
+        ):
+            estimate_response(synthetic_8bit, sample_mask=mask)
+
+    def test_error_messages_unchanged(self):
+        # With sat_lo = 0, blue's code 0 is usable but has zero hat weight,
+        # so only blue lacks data rows.
+        samples = np.full((6, 2, 3), 120)
+        samples[:, 1, :2] = 160
+        samples[:, :, 2] = 0
+        with pytest.raises(
+            UnderdeterminedError,
+            match=r"^response system underdetermined for channel\(s\) b: "
+            r"not enough unsaturated samples$",
+        ):
+            estimate_response(ExposureStack(np.array([1.0, 2.0]), samples, 8, 0, 230))
+        with pytest.raises(
+            UnderdeterminedError,
+            match=r"^response estimation needs >= 2 distinct exposures, got 1$",
+        ):
+            estimate_response(ExposureStack(np.array([1.0, 1.0]), np.full((4, 2, 3), 100)))
 
 
 class TestReciprocity:
