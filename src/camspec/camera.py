@@ -35,12 +35,23 @@ DEFAULT_SAT_HI = 230
 def default_thresholds(
     bit_depth: int, sat_lo: int | None = None, sat_hi: int | None = None
 ) -> tuple[int, int]:
-    """The 8-bit 10/230 saturation thresholds scaled proportionally to other
-    depths; a threshold given explicitly is kept as is."""
+    """The one place saturation thresholds are resolved and checked: a
+    threshold given explicitly is kept, an unset one is the 8-bit 10/230
+    scaled to the code range; 0 <= sat_lo < sat_hi <= 2**bit_depth - 1."""
     zmax = 2**bit_depth - 1
     lo = round(DEFAULT_SAT_LO * zmax / 255) if sat_lo is None else sat_lo
     hi = round(DEFAULT_SAT_HI * zmax / 255) if sat_hi is None else sat_hi
+    if not 0 <= lo < hi <= zmax:
+        raise ValueError(f"need 0 <= sat_lo < sat_hi <= {zmax}, got ({lo}, {hi})")
     return lo, hi
+
+
+def saturation_class(codes, sat_lo: int, sat_hi: int) -> np.ndarray:
+    """Per-code saturation, 0 below sat_lo, 1 valid (thresholds included), 2
+    above sat_hi: the comparison behind ``ExposureStack.channel_valid``,
+    ``classify_saturation`` and ``invert_response``."""
+    codes = np.asarray(codes)
+    return (codes >= sat_lo).astype(np.int8) + (codes > sat_hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +138,7 @@ def invert_response(
         raise SaturatedCodeError(f"code {code} outside table range [0, {curve.code_max}]")
     lo = 0 if sat_lo is None else sat_lo
     hi = curve.code_max if sat_hi is None else sat_hi
-    if z < lo or z > hi:
+    if saturation_class(z, lo, hi) != 1:
         raise SaturatedCodeError(
             f"code {z} is saturated (valid range [{lo}, {hi}]); cannot invert"
         )
@@ -153,19 +164,18 @@ class SaturationFlags:
 
 
 def classify_saturation(
-    triplet, sat_lo: int = DEFAULT_SAT_LO, sat_hi: int = DEFAULT_SAT_HI
+    triplet, sat_lo: int | None = None, sat_hi: int | None = None
 ) -> SaturationFlags:
-    """Per-channel saturation flags; the threshold codes themselves are valid."""
-    if not 0 <= sat_lo < sat_hi:
-        raise ValueError(f"need 0 <= sat_lo < sat_hi, got ({sat_lo}, {sat_hi})")
+    """Per-channel flags of one code triplet: one row of ``saturation_class``.
+    Thresholds resolve through ``default_thresholds`` at the smallest depth,
+    at least 8 bits, that holds ``sat_hi`` (unset: the 8-bit 10/230)."""
     codes = np.asarray(triplet, dtype=int)
     if codes.shape != (3,):
         raise ValueError(f"expected a code triplet, got shape {codes.shape}")
-    flags = tuple(
-        Saturation.UNDER if z < sat_lo else Saturation.OVER if z > sat_hi else Saturation.VALID
-        for z in codes
-    )
-    return SaturationFlags(flags)
+    bits = 8 if sat_hi is None else max(8, int(sat_hi).bit_length())
+    lo, hi = default_thresholds(bits, sat_lo, sat_hi)
+    levels = tuple(Saturation)  # UNDER, VALID, OVER: saturation_class 0, 1, 2
+    return SaturationFlags(tuple(levels[c] for c in saturation_class(codes, lo, hi)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,8 +191,8 @@ class CameraModel:
     response: ResponseCurve
     gamut: RbfGamutMap | None = None
     bit_depth: int = 8
-    sat_lo: int = DEFAULT_SAT_LO
-    sat_hi: int = DEFAULT_SAT_HI
+    sat_lo: int | None = None  # None: default_thresholds(bit_depth)
+    sat_hi: int | None = None
 
     def __post_init__(self) -> None:
         if self.omega.grid != self.grid:
@@ -192,11 +202,9 @@ class CameraModel:
                 f"response table is {self.response.bit_depth}-bit, camera declares "
                 f"{self.bit_depth}-bit"
             )
-        if not 0 <= self.sat_lo < self.sat_hi < 2**self.bit_depth:
-            raise ValueError(
-                f"need 0 <= sat_lo < sat_hi < {2**self.bit_depth}, "
-                f"got ({self.sat_lo}, {self.sat_hi})"
-            )
+        lo, hi = default_thresholds(self.bit_depth, self.sat_lo, self.sat_hi)
+        object.__setattr__(self, "sat_lo", lo)
+        object.__setattr__(self, "sat_hi", hi)
 
     @property
     def code_max(self) -> int:

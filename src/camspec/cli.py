@@ -59,8 +59,8 @@ exit codes:
   4  validation, precondition, or fit failure
   5  schema version mismatch
 
-The CAMSPEC_CONFIG environment variable supplies --config when the flag
-is omitted.
+The CAMSPEC_CONFIG environment variable supplies --config to synth and
+pipeline when the flag is omitted.
 """
 
 
@@ -134,22 +134,18 @@ class _Run:
         )
 
 
-def _load_pipeline_config(args) -> PipelineConfig:
+def _load_pipeline_config(args, run: _Run) -> PipelineConfig:
+    """``--config``, else ``$CAMSPEC_CONFIG`` (tracked as an input), else the defaults."""
     path = args.config or os.environ.get("CAMSPEC_CONFIG")
-    if path:
-        cfg, _grid = io.load_config(path)
-    else:
-        cfg = PipelineConfig()
-    if getattr(args, "seed", None) is not None:
+    cfg = io.load_config(run.track(path))[0] if path else PipelineConfig()
+    if args.seed is not None:
         cfg = PipelineConfig(**{**cfg.__dict__, "seed": args.seed})
     return cfg
 
 
 def _cmd_synth(args) -> int:
     run = _Run(args)
-    if args.config:
-        run.track(args.config)
-    cfg = _load_pipeline_config(args)
+    cfg = _load_pipeline_config(args, run)
     grid = SpectralGrid(args.grid_start, args.grid_step, args.grid_count)
     seed = args.seed if args.seed is not None else 0
     gamut = None
@@ -264,9 +260,7 @@ def _cmd_fit_gamut(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     run = _Run(args)
-    if args.config:
-        run.track(args.config)
-    cfg = _load_pipeline_config(args)
+    cfg = _load_pipeline_config(args, run)
     data = io.load_dataset(run.track(args.dataset))
     database = io.load_database(run.track(args.database), data.grid) if args.database else None
     est = run_two_stage(data, cfg, database=database)
@@ -340,10 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", required=True, help="output directory for artifacts")
-    common.add_argument("--seed", type=int, default=None, help="seed override")
-    common.add_argument("--config", default=None, help="pipeline config JSON")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=None, help="seed override")
+    configured = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    configured.add_argument("--config", default=None, help="pipeline config JSON")
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic truth camera and dataset")
+    p = sub.add_parser("synth", parents=[configured],
+                       help="generate a synthetic truth camera and dataset")
     p.add_argument("--grid-start", type=float, default=400.0)
     p.add_argument("--grid-step", type=float, default=10.0)
     p.add_argument("--grid-count", type=int, default=33)
@@ -370,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoothness", type=float, default=50.0)
     p.set_defaults(func=_cmd_fit_response)
 
-    p = sub.add_parser("fit-sensitivity", parents=[common], help="constrained sensitivity fit")
+    p = sub.add_parser("fit-sensitivity", parents=[seeded], help="constrained sensitivity fit")
     p.add_argument("--radiance", required=True, help="radiance spectra CSV (one column per sample)")
     p.add_argument("--measurements", required=True, help="linearized intensity CSV")
     p.add_argument("--database", default=None, help="database manifest JSON (default: synthetic)")
@@ -386,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel-width", type=float, default=None)
     p.set_defaults(func=_cmd_fit_gamut)
 
-    p = sub.add_parser("pipeline", parents=[common], help="two-stage estimation on a dataset")
+    p = sub.add_parser("pipeline", parents=[configured], help="two-stage estimation on a dataset")
     p.add_argument("--dataset", required=True, help="dataset manifest JSON")
     p.add_argument("--database", default=None, help="database manifest JSON (default: synthetic)")
     p.set_defaults(func=_cmd_pipeline)

@@ -149,7 +149,7 @@ def apply_gamut_map_batch(gmap: RbfGamutMap, pts: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class GamutFitConfig:
     max_centers: int = 125
-    ridge: float = 1e-8
+    ridge: float = 1e-8  # weight penalty: minimize |Phi w - r|^2 + ridge * |w|^2
     kernel_width: float | None = None  # None: median pairwise center distance
 
 
@@ -188,8 +188,12 @@ def fit_gamut_map(s_samples, e_targets, cfg: GamutFitConfig | None = None) -> Ga
     """Fit the gamut map from paired (raw tristimulus, linear target) samples.
 
     The affine part is solved first so the RBF weights only model what an
-    affine map cannot; with ridge 0 and every sample kept as a center the
-    solve is an exact interpolation.
+    affine map cannot. The weights minimize |Phi w - r|^2 + ridge |w|^2 on
+    the affine residuals r at every center count, by least squares on
+    [Phi; sqrt(ridge) I] w = [r; 0] (Phi^T Phi would square Phi's condition
+    number): the ridge penalizes the weights, not the kernel matrix. With
+    ridge 0 and every sample kept as a center the solve is an exact
+    interpolation.
     """
     cfg = cfg or GamutFitConfig()
     s = np.asarray(s_samples, dtype=float)
@@ -211,23 +215,18 @@ def fit_gamut_map(s_samples, e_targets, cfg: GamutFitConfig | None = None) -> Ga
     resid = e - design @ affine_t
 
     k = min(cfg.max_centers, n)
-    centers = s.copy() if k == n else _farthest_point_centers(s, k)
+    centers = _farthest_point_centers(s, k)
     width = cfg.kernel_width if cfg.kernel_width is not None else _median_pairwise(centers)
     if not width > 0:
         raise ValueError(f"kernel width must be positive, got {width}")
+    if not cfg.ridge >= 0:
+        raise ValueError(f"ridge must be nonnegative, got {cfg.ridge}")
 
     phi = _kernel_matrix(s, centers, width)
+    stacked = np.vstack([phi, np.sqrt(cfg.ridge) * np.eye(k)])
+    rhs = np.vstack([resid, np.zeros((k, 3))])
     try:
-        if k == n:
-            # Square kernel system; one refinement step keeps the training
-            # residual near machine level even when the kernel matrix is
-            # badly conditioned.
-            lhs = phi + cfg.ridge * np.eye(n)
-            weights = np.linalg.solve(lhs, resid)
-            weights += np.linalg.solve(lhs, resid - lhs @ weights)
-        else:
-            lhs = phi.T @ phi + cfg.ridge * np.eye(k)
-            weights = np.linalg.solve(lhs, phi.T @ resid)
+        weights, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
     except np.linalg.LinAlgError as exc:
         raise RankDeficiencyError(f"gamut-map system is singular after ridge: {exc}") from exc
 

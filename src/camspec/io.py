@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .camera import CameraModel, ResponseCurve, default_thresholds
+from .camera import CameraModel, ResponseCurve
 from .errors import ParseError, SchemaVersionError
 from .gamut import RbfGamutMap
 from .pipeline import (
@@ -55,7 +55,8 @@ def _read_table(path, header=None, text_columns=0) -> tuple[list, np.ndarray, np
     """Read a CSV table: (header, text cells (N, text_columns), numbers (N, rest), lines).
 
     ``header``, if given, is the required first row. Every row must have the
-    header's width. Blank rows are skipped; ``lines`` are the rows' file lines.
+    header's width. Blank rows are skipped; ``lines`` are the rows' file
+    lines, the header's at ``lines[0]`` and body row i's at ``lines[i + 1]``.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -63,14 +64,14 @@ def _read_table(path, header=None, text_columns=0) -> tuple[list, np.ndarray, np
             numbered = [(reader.line_num, row) for row in reader if row]
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    lines, rows = [n for n, _ in numbered[1:]], [row for _, row in numbered]
-    if header is not None and (not rows or rows[0] != header):
-        raise ParseError(f"{path}:1: header must be {','.join(header)}")
+    lines, rows = [n for n, _ in numbered], [row for _, row in numbered]
     if not rows:
         raise ParseError(f"{path}: empty file")
+    if header is not None and rows[0] != header:
+        raise ParseError(f"{path}:{lines[0]}: header must be {','.join(header)}")
     header, body, k = rows[0], rows[1:], text_columns
-    lengths = np.fromiter(map(len, body), dtype=int, count=len(body))
-    wrong = np.flatnonzero(lengths != len(header))
+    lengths = np.fromiter(map(len, rows), dtype=int, count=len(rows))
+    wrong = np.flatnonzero(lengths != len(header))  # row 0 is the header itself
     if wrong.size:
         i, got = wrong[0], lengths[wrong[0]]
         missing = f" (no column {header[got]!r})" if got < len(header) else ""
@@ -86,7 +87,7 @@ def _read_table(path, header=None, text_columns=0) -> tuple[list, np.ndarray, np
             except ValueError as exc:
                 i, c = divmod(n, len(header) - k)
                 raise ParseError(
-                    f"{path}:{lines[i]}: column {header[k + c]!r}: not a number: {tok!r}"
+                    f"{path}:{lines[i + 1]}: column {header[k + c]!r}: not a number: {tok!r}"
                 ) from exc
         raise
     return header, text, numbers.reshape(len(body), len(header) - k), lines
@@ -109,17 +110,22 @@ def _write_table(path, header, columns) -> None:
 
 def load_spectral_table(path) -> tuple[np.ndarray, list[str], np.ndarray]:
     """Read a spectral CSV; returns (wavelengths, column names, values (M, n))."""
-    header, _text, values, lines = _read_table(path)
+    return _spectral_table(path)
+
+
+def _spectral_table(path, header=None) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """``load_spectral_table``, with ``header`` the exact header required, if given."""
+    header, _text, values, lines = _read_table(path, header)
     if header[0] != "wavelength_nm" or len(header) < 2:
         raise ParseError(
-            f"{path}:1: header must start with 'wavelength_nm' followed by value columns"
+            f"{path}:{lines[0]}: header must start with 'wavelength_nm' followed by value columns"
         )
     wl = values[:, 0]
     down = np.flatnonzero(np.diff(wl) <= 0)
     if down.size:
         i = down[0]
         raise ParseError(
-            f"{path}:{lines[i + 1]}: wavelengths must be strictly increasing "
+            f"{path}:{lines[i + 2]}: wavelengths must be strictly increasing "
             f"({wl[i + 1]} after {wl[i]})"
         )
     if wl.size < 2:
@@ -196,7 +202,8 @@ def load_stack_csv(
     if bad.size:
         i, c = bad[0]
         raise ParseError(
-            f"{path}:{lines[i]}: {_STACK_HEADER[2 + c]} must be an integer code, got {codes[i, c]}"
+            f"{path}:{lines[i + 1]}: {_STACK_HEADER[2 + c]} must be an integer code, "
+            f"got {codes[i, c]}"
         )
     ids, first, inverse = np.unique(text[:, 0], return_index=True, return_inverse=True)
     by_first = np.argsort(first)  # patch number -> index into ids
@@ -215,8 +222,7 @@ def load_stack_csv(
             f"{exposures[:n_exp].tolist()}"
         )
     samples = codes[rows].reshape(counts.size, n_exp, 3)
-    lo, hi = default_thresholds(bit_depth, sat_lo, sat_hi)
-    return ExposureStack(exposures[:n_exp], samples, bit_depth, lo, hi)
+    return ExposureStack(exposures[:n_exp], samples, bit_depth, sat_lo, sat_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +301,7 @@ def load_measurement_set(
     if bad.size:
         i = bad[0]
         raise ParseError(
-            f"{measurements_path}:{lines[i]}: column 'valid': must be 0 or 1, got {valid[i]}"
+            f"{measurements_path}:{lines[i + 1]}: column 'valid': must be 0 or 1, got {valid[i]}"
         )
     p = np.stack([c.values for c in curves])
     return MeasurementSet(curves[0].grid, p, values[:, :3], valid == 1)
@@ -308,9 +314,7 @@ def save_sensitivity_csv(path, omega: SensitivityMatrix) -> None:
 
 
 def load_sensitivity_csv(path, target_grid: SpectralGrid | None = None) -> SensitivityMatrix:
-    wl, names, values = load_spectral_table(path)
-    if names != ["omega_r", "omega_g", "omega_b"]:
-        raise ParseError(f"{path}:1: columns must be omega_r,omega_g,omega_b")
+    wl, _names, values = _spectral_table(path, ["wavelength_nm", "omega_r", "omega_g", "omega_b"])
     grid = target_grid if target_grid is not None else _grid_of(wl, path)
     channels = np.column_stack([_onto_grid(wl, values[:, k], grid) for k in range(3)])
     return SensitivityMatrix(grid, channels)

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import (
-    DEFAULT_SAT_HI,
-    DEFAULT_SAT_LO,
-    CameraModel,
-    ResponseCurve,
-    default_thresholds,
-    render,
-)
+from .camera import CameraModel, ResponseCurve, render
 from .errors import GridMismatchError, PipelineError
 from .gamut import GamutFitConfig, RbfGamutMap, fit_gamut_map, partition_gamut
 from .response import (
@@ -92,7 +85,8 @@ class PipelineConfig:
     """All estimation knobs in one place; serialized as the config JSON.
 
     The thresholds flag saturation when data is generated or loaded without
-    its own; datasets that already carry flags keep them.
+    its own; datasets that already carry flags keep them. None means
+    ``default_thresholds`` at the data's bit depth.
     """
 
     alpha: float = 0.6
@@ -104,8 +98,8 @@ class PipelineConfig:
     rbf_kernel_width: float | None = None
     min_inner: int = 20
     database_entries: int = 24
-    sat_lo: int = DEFAULT_SAT_LO
-    sat_hi: int = DEFAULT_SAT_HI
+    sat_lo: int | None = None
+    sat_hi: int | None = None
     seed: int = 0
 
 
@@ -351,7 +345,6 @@ def synthetic_camera(
     typical scenes land mid-range at exposures around a second. Thresholds
     default to 10/230 scaled proportionally to the bit depth.
     """
-    lo, hi = default_thresholds(bit_depth, sat_lo, sat_hi)
     wl = grid.wavelengths
     bumps = [
         _gaussian(wl, 605.0, 30.0),
@@ -366,8 +359,8 @@ def synthetic_camera(
         response=ResponseCurve.from_gamma(gamma, bit_depth),
         gamut=gamut,
         bit_depth=bit_depth,
-        sat_lo=lo,
-        sat_hi=hi,
+        sat_lo=sat_lo,
+        sat_hi=sat_hi,
     )
 
 
@@ -379,8 +372,8 @@ def camera_in_basis_span(
     peak: float = 0.25,
     seed: int = 3,
     bit_depth: int = 8,
-    sat_lo: int = DEFAULT_SAT_LO,
-    sat_hi: int = DEFAULT_SAT_HI,
+    sat_lo: int | None = None,
+    sat_hi: int | None = None,
 ) -> CameraModel:
     """Ground-truth camera whose sensitivity is a positive parent combination,
     hence exactly inside the basis built from a spanning database."""

@@ -14,12 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .camera import (
-    DEFAULT_SAT_HI,
-    DEFAULT_SAT_LO,
-    CHANNEL_NAMES,
-    ResponseCurve,
-)
+from .camera import CHANNEL_NAMES, ResponseCurve, default_thresholds, saturation_class
 from .errors import UnderdeterminedError
 from .solvers import strictly_increasing
 
@@ -37,8 +32,8 @@ class ExposureStack:
     exposures: np.ndarray  # (n_exp,) seconds
     samples: np.ndarray  # (n_patch, n_exp, 3) integer codes
     bit_depth: int = 8
-    sat_lo: int = DEFAULT_SAT_LO
-    sat_hi: int = DEFAULT_SAT_HI
+    sat_lo: int | None = None  # None: default_thresholds(bit_depth)
+    sat_hi: int | None = None
 
     def __post_init__(self) -> None:
         exposures = np.array(self.exposures, dtype=float)
@@ -53,12 +48,13 @@ class ExposureStack:
             )
         if samples.min(initial=0) < 0 or samples.max(initial=0) >= 2**self.bit_depth:
             raise ValueError(f"codes outside [0, {2**self.bit_depth - 1}]")
-        if not 0 <= self.sat_lo < self.sat_hi < 2**self.bit_depth:
-            raise ValueError(f"bad thresholds ({self.sat_lo}, {self.sat_hi})")
+        lo, hi = default_thresholds(self.bit_depth, self.sat_lo, self.sat_hi)
         exposures.setflags(write=False)
         samples.setflags(write=False)
         object.__setattr__(self, "exposures", exposures)
         object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "sat_lo", lo)
+        object.__setattr__(self, "sat_hi", hi)
 
     @property
     def n_patches(self) -> int:
@@ -71,7 +67,7 @@ class ExposureStack:
     @cached_property
     def channel_valid(self) -> np.ndarray:
         """(n_patch, n_exp, 3) bool: code within [sat_lo, sat_hi]."""
-        out = (self.samples >= self.sat_lo) & (self.samples <= self.sat_hi)
+        out = saturation_class(self.samples, self.sat_lo, self.sat_hi) == 1
         out.setflags(write=False)
         return out
 

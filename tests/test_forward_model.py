@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from camspec import (
     CameraModel,
+    ExposureStack,
     Kind,
     ResponseCurve,
     Saturation,
@@ -13,6 +14,7 @@ from camspec import (
     SpectralGrid,
     apply_response,
     classify_saturation,
+    default_thresholds,
     interpolated_code,
     invert_response,
     render,
@@ -21,6 +23,8 @@ from camspec import (
     synthetic_gamut_warp,
 )
 from camspec.errors import GridMismatchError, SaturatedCodeError
+from camspec.pipeline import camera_in_basis_span
+from camspec.sensitivity import spanning_database
 from support import eq1_pixel_oracle, quantize_oracle
 
 
@@ -103,6 +107,19 @@ class TestClassifySaturation:
             assert f is (
                 Saturation.UNDER if z < 10 else Saturation.OVER if z > 230 else Saturation.VALID
             )
+
+    @pytest.mark.parametrize("bits", [8, 10])
+    def test_agrees_with_channel_valid_on_every_code(self, bits):
+        codes = np.arange(2**bits)
+        stack = ExposureStack([1.0], np.repeat(codes, 3).reshape(-1, 1, 3), bit_depth=bits)
+        assert (stack.sat_lo, stack.sat_hi) == default_thresholds(bits)
+        flags = [
+            classify_saturation((z, z, z), stack.sat_lo, stack.sat_hi).channels[0] for z in codes
+        ]
+        np.testing.assert_array_equal(
+            [f is Saturation.VALID for f in flags], stack.channel_valid[:, 0, 0]
+        )
+        assert all((f is Saturation.UNDER) == (z < stack.sat_lo) for z, f in zip(codes, flags))
 
 
 def impulse_camera(grid, index=16):
@@ -320,6 +337,28 @@ class TestOtherBitDepths:
             slope = np.polyfit(np.log(z / 1023.0), fit.ln_e[k, z], 1)[0]
             assert abs(slope - 2.0) < 0.08
         assert (np.diff(fit.ln_e, axis=1) > 0).all()
+
+    def test_ten_bit_defaults_scale_everywhere(self, grid):
+        # A mid-range 10-bit code is valid without naming thresholds.
+        stack = ExposureStack([0.5, 1.0], np.full((1, 2, 3), 500), bit_depth=10)
+        assert (stack.sat_lo, stack.sat_hi) == (40, 923)
+        assert stack.triplet_valid.all()
+        cam = CameraModel(
+            grid=grid,
+            omega=SensitivityMatrix(grid, np.ones((grid.count, 3))),
+            response=ResponseCurve.linear(10),
+            bit_depth=10,
+        )
+        assert (cam.sat_lo, cam.sat_hi) == (40, 923)
+        assert not cam.classify((500, 500, 500)).any_saturated
+        parents = spanning_database(grid, d=6)[1]
+        span = camera_in_basis_span(grid, parents, bit_depth=10)
+        assert (span.sat_lo, span.sat_hi) == (40, 923)
+
+    @pytest.mark.parametrize("lo, hi", [(40, 1024), (-1, 923), (923, 40)])
+    def test_thresholds_checked_against_the_code_range(self, lo, hi):
+        with pytest.raises(ValueError, match=r"need 0 <= sat_lo < sat_hi <= 1023"):
+            ExposureStack([1.0], np.full((1, 1, 3), 500), bit_depth=10, sat_lo=lo, sat_hi=hi)
 
 
 class TestCameraModel:

@@ -4,12 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camspec import (
+    DEFAULT_GRID,
     GamutFitConfig,
     RbfGamutMap,
     apply_gamut_map,
     fit_gamut_map,
+    generate_synthetic_dataset,
     partition_gamut,
+    radiance_rows,
     rgb_to_xy,
+    synthetic_camera,
+    synthetic_gamut_warp,
 )
 from camspec.errors import DegenerateGeometryError
 from camspec.gamut import (
@@ -185,6 +190,39 @@ class TestFitGamutMap:
         e[2, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
             fit_gamut_map(s, e)
+
+    @pytest.mark.parametrize("max_centers", [32, 192])
+    def test_weights_match_svd_filter_factor_reference(self, max_centers):
+        # Raw tristimulus of a synthetic calibration set through a warped
+        # camera: the kernel matrix has cond ~3e6, so a solve through
+        # Phi^T Phi (cond ~1e13) loses about six digits of the weights. With
+        # one center per sample (192) the ridge still penalizes |w|^2.
+        plain = synthetic_camera(DEFAULT_GRID)
+        scale = float(0.5 * plain.omega.channels.sum(axis=0).mean())
+        truth = synthetic_camera(
+            DEFAULT_GRID, gamut=synthetic_gamut_warp(scale=scale, strength=0.05, seed=11)
+        )
+        data = generate_synthetic_dataset(truth, 8, 24, [1.0], seed=11)
+        s = radiance_rows(data.illuminants, data.reflectances) @ truth.omega.channels
+        e = apply_gamut_map_batch(truth.gamut, s)
+        ridge = 1e-8
+        gmap = fit_gamut_map(s, e, GamutFitConfig(max_centers, ridge)).map
+
+        # Ridge solution min |Phi w - r|^2 + ridge |w|^2 through the SVD of
+        # Phi: w = V diag(sigma / (sigma^2 + ridge)) U^T r.
+        r = e - np.column_stack([s, np.ones(len(s))]) @ gmap.affine.T
+        d2 = ((s[:, None, :] - gmap.centers[None, :, :]) ** 2).sum(axis=2)
+        phi = np.exp(-d2 / (2.0 * gmap.kernel_width**2))
+        u, sigma, vt = np.linalg.svd(phi, full_matrices=False)
+        expected = vt.T @ ((sigma / (sigma**2 + ridge))[:, None] * (u.T @ r))
+        assert gmap.centers.shape[0] == min(max_centers, len(s))
+        assert np.abs(gmap.weights - expected).max() <= 1e-8 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("ridge", [-1e-8, np.nan])
+    def test_invalid_ridge_raises(self, ridge):
+        s = np.random.default_rng(9).uniform(0, 1, size=(12, 3))
+        with pytest.raises(ValueError, match="ridge must be nonnegative"):
+            fit_gamut_map(s, s + 0.1, GamutFitConfig(ridge=ridge))
 
     def test_explicit_kernel_width_is_used(self):
         rng = np.random.default_rng(9)

@@ -617,6 +617,24 @@ class TestCli:
         ) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["effective_config"]["alpha"] == 0.9
+        # The environment's config file is an input like --config's.
+        assert manifest["inputs"][str(cfg_path)] == io.sha256_of(cfg_path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--camera", "c.json", "--dataset", "d.json", "--seed", "1"],
+            ["simulate", "--camera", "c.json", "--scene", "s.json", "--seed", "1"],
+            ["fit-response", "--stack", "s.csv", "--config", "cfg.json"],
+            ["fit-sensitivity", "--radiance", "r.csv", "--measurements", "m.csv",
+             "--config", "cfg.json"],
+        ],
+        ids=["evaluate-seed", "simulate-seed", "fit-response-config", "fit-sensitivity-config"],
+    )
+    def test_seed_and_config_only_where_used(self, tmp_path, capsys, argv):
+        assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestMalformedTables:
@@ -679,8 +697,15 @@ class TestBlankLines:
             (SPECTRAL + "\r\n390,1\r\n", io.load_spectral_table,
              ":5: wavelengths must be strictly increasing"),
             (STACK + "0,2.0,20,2.5,22\n", io.load_stack_csv, ":4: I_g must be an integer code"),
+            ("\nwavelength,v\n400,1\n410,2\n", io.load_spectral_table,
+             ":2: header must start with 'wavelength_nm'"),
+            ("\nwavelength_nm,r,g,b\n400,1,1,1\n410,1,1,1\n", io.load_sensitivity_csv,
+             ":2: header must be wavelength_nm,omega_r,omega_g,omega_b"),
+            ("\n\n" + STACK.replace("patch_id", "patch"), io.load_stack_csv,
+             ":3: header must be patch_id,exposure_s"),
         ],
-        ids=["number", "width", "order", "stack-code"],
+        ids=["number", "width", "order", "stack-code", "spectral-header", "sensitivity-header",
+             "stack-header"],
     )
     def test_error_names_the_physical_line(self, tmp_path, body, load, message):
         path = tmp_path / "blank.csv"
