@@ -86,18 +86,6 @@ def _exit_code_for(exc: Exception) -> int:
     return EXIT_INTERNAL
 
 
-def _json_safe(value):
-    if isinstance(value, Path):
-        return str(value)
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    return value
-
-
 class _Run:
     """Collects input digests and writes the manifest when the command is done."""
 
@@ -107,6 +95,7 @@ class _Run:
         self.out = Path(args.out)
         self.out.mkdir(parents=True, exist_ok=True)
         self.inputs: dict[str, str] = {}
+        self.seed = getattr(args, "seed", None)
         self.started = io.utc_now()
 
     def track(self, path) -> Path:
@@ -114,12 +103,9 @@ class _Run:
         self.inputs[str(path)] = io.sha256_of(path)
         return path
 
-    def finish(self, extra_config: dict | None = None) -> None:
-        snapshot = {
-            k: _json_safe(v) for k, v in vars(self.args).items() if k not in ("func", "command")
-        }
-        if extra_config:
-            snapshot.update(_json_safe(extra_config))
+    def finish(self, extra_config: dict | None) -> None:
+        snapshot = {k: v for k, v in vars(self.args).items() if k not in ("func", "command")}
+        snapshot.update(extra_config or {})
         io.write_manifest(
             self.out,
             io.RunManifest(
@@ -127,7 +113,7 @@ class _Run:
                 config=snapshot,
                 inputs=self.inputs,
                 version=__version__,
-                seed=getattr(self.args, "seed", None),
+                seed=self.seed,
                 started_utc=self.started,
                 finished_utc=io.utc_now(),
             ),
@@ -143,11 +129,10 @@ def _load_pipeline_config(args, run: _Run) -> PipelineConfig:
     return cfg
 
 
-def _cmd_synth(args) -> int:
-    run = _Run(args)
+def _cmd_synth(args, run: _Run) -> dict | None:
     cfg = _load_pipeline_config(args, run)
     grid = SpectralGrid(args.grid_start, args.grid_step, args.grid_count)
-    seed = args.seed if args.seed is not None else 0
+    run.seed = seed = cfg.seed
     gamut = None
     if args.warp_strength > 0:
         plain = synthetic_camera(grid, gamma=args.gamma, peak=args.peak)
@@ -163,16 +148,12 @@ def _cmd_synth(args) -> int:
     )
     io.save_camera(run.out / "truth_camera.json", truth)
     io.save_dataset(run.out, data)
-    run.finish()
-    return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
-    run = _Run(args)
+def _cmd_simulate(args, run: _Run) -> dict | None:
     cam = io.load_camera(run.track(args.camera))
     scene_path = run.track(args.scene)
-    scene = io._load_json(scene_path)
-    io._require_schema(scene, scene_path)
+    scene = io.read_json(scene_path)
     base = scene_path.parent
     light = io.load_spectral_csv(base / scene["illuminant"], Kind.ILLUMINANT, cam.grid)[0]
     surfaces = io.load_spectral_csv(base / scene["reflectances"], Kind.REFLECTANCE, cam.grid)
@@ -180,33 +161,28 @@ def _cmd_simulate(args) -> int:
     samples = render(cam, radiance_rows([light], surfaces), exposures)
     stack = ExposureStack(exposures, samples, cam.bit_depth, cam.sat_lo, cam.sat_hi)
     io.save_stack_csv(run.out / "pixels.csv", stack)
-    run.finish()
-    return EXIT_OK
 
 
-def _cmd_fit_response(args) -> int:
-    run = _Run(args)
+def _cmd_fit_response(args, run: _Run) -> dict | None:
     stack = io.load_stack_csv(
         run.track(args.stack), bit_depth=args.bit_depth, sat_lo=args.sat_lo, sat_hi=args.sat_hi
     )
     curve = estimate_response(stack, ResponseFitConfig(smoothness_lambda=args.smoothness))
     reciprocity = check_exposure_reciprocity(stack, curve)
-    io._dump_json(run.out / "response.json", io.response_to_dict(curve))
-    io._dump_json(
+    io.write_json(
+        run.out / "response.json", {"bit_depth": curve.bit_depth, "ln_e": curve.ln_e.tolist()}
+    )
+    io.write_json(
         run.out / "reciprocity.json",
         {
-            "schema": io.SCHEMA_VERSION,
             "max_abs_deviation": reciprocity.max_abs_deviation.tolist(),
             "mean_abs_deviation": reciprocity.mean_abs_deviation.tolist(),
             "n_pairs": reciprocity.n_pairs.tolist(),
         },
     )
-    run.finish()
-    return EXIT_OK
 
 
-def _cmd_fit_sensitivity(args) -> int:
-    run = _Run(args)
+def _cmd_fit_sensitivity(args, run: _Run) -> dict | None:
     mset = io.load_measurement_set(run.track(args.radiance), run.track(args.measurements))
     seed = args.seed if args.seed is not None else 0
     if args.database:
@@ -217,10 +193,9 @@ def _cmd_fit_sensitivity(args) -> int:
     fit = estimate_constrained(mset, basis)
     cv = cross_validate(mset, basis, folds=args.folds, seed=seed)
     io.save_sensitivity_csv(run.out / "sensitivity.csv", fit.omega_hat)
-    io._dump_json(
+    io.write_json(
         run.out / "fit.json",
         {
-            "schema": io.SCHEMA_VERSION,
             "basis_dim": args.d,
             "captured_variance": basis.captured_variance.tolist(),
             "coefficients": fit.coefficients.tolist(),
@@ -234,42 +209,34 @@ def _cmd_fit_sensitivity(args) -> int:
             },
         },
     )
-    run.finish()
-    return EXIT_OK
 
 
-def _cmd_fit_gamut(args) -> int:
-    run = _Run(args)
+def _cmd_fit_gamut(args, run: _Run) -> dict | None:
     s_samples, e_targets = io.load_gamut_samples(run.track(args.samples))
     cfg = GamutFitConfig(
         max_centers=args.max_centers, ridge=args.ridge, kernel_width=args.kernel_width
     )
     result = fit_gamut_map(s_samples, e_targets, cfg)
-    io._dump_json(
+    io.write_json(
         run.out / "gamut.json",
         {
-            "schema": io.SCHEMA_VERSION,
             "gamut": io.gamut_to_dict(result.map),
             "training_rms": result.training_rms.tolist(),
             "training_max_abs": result.training_max_abs.tolist(),
         },
     )
-    run.finish()
-    return EXIT_OK
 
 
-def _cmd_pipeline(args) -> int:
-    run = _Run(args)
+def _cmd_pipeline(args, run: _Run) -> dict | None:
     cfg = _load_pipeline_config(args, run)
     data = io.load_dataset(run.track(args.dataset))
     database = io.load_database(run.track(args.database), data.grid) if args.database else None
     est = run_two_stage(data, cfg, database=database)
     io.save_camera(run.out / "estimated_camera.json", est.camera)
     cv = est.stage1.sensitivity_cv
-    io._dump_json(
+    io.write_json(
         run.out / "diagnostics.json",
         {
-            "schema": io.SCHEMA_VERSION,
             "stage1": {
                 "inner_count": est.stage1.inner_count,
                 "outer_count": est.stage1.outer_count,
@@ -285,23 +252,18 @@ def _cmd_pipeline(args) -> int:
             },
         },
     )
-    run.finish(extra_config={"effective_config": cfg.__dict__})
-    return EXIT_OK
+    return {"effective_config": cfg.__dict__}
 
 
-def _cmd_evaluate(args) -> int:
-    run = _Run(args)
+def _cmd_evaluate(args, run: _Run) -> dict | None:
     cam = io.load_camera(run.track(args.camera))
     data = io.load_dataset(run.track(args.dataset))
     disjoint = {"yes": True, "no": False, "unknown": None}[args.disjoint]
     report = evaluate(cam, data, disjoint_from_training=disjoint)
     io.save_evaluation_report(run.out, report)
-    run.finish()
-    return EXIT_OK
 
 
-def _cmd_export_chromaticity(args) -> int:
-    run = _Run(args)
+def _cmd_export_chromaticity(args, run: _Run) -> dict | None:
     cam = io.load_camera(run.track(args.camera))
     data = io.load_dataset(run.track(args.dataset))
     # Row by row: S is written to chromaticity.csv, and a plain (N, M) @ (M, 3)
@@ -318,8 +280,6 @@ def _cmd_export_chromaticity(args) -> int:
     magnitudes = np.linalg.norm(mapped - s_all, axis=1)
     xy = chromaticity(s_all)
     io.save_chromaticity_csv(run.out / "chromaticity.csv", xy, regions, magnitudes)
-    run.finish()
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,7 +371,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        run = _Run(args)
+        run.finish(args.func(args, run))
     except Exception as exc:  # noqa: BLE001 - boundary: everything becomes error JSON
         code = _exit_code_for(exc)
         print(
@@ -420,6 +381,7 @@ def main(argv=None) -> int:
             )
         )
         return code
+    return EXIT_OK
 
 
 def entry() -> None:

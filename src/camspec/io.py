@@ -3,7 +3,7 @@
 JSON carries structured models, CSV carries tables meant for external
 plotting. Floats are written with ``repr`` so every documented round trip
 is exact; loaders validate eagerly and raise ParseError with the file,
-line, and the violated rule.
+line or key, and the violated rule.
 """
 
 from __future__ import annotations
@@ -37,13 +37,65 @@ SCHEMA_VERSION = 1
 EXPOSURE_CONVENTION = "after_gamut"
 
 
-def _require_schema(doc: dict, path) -> None:
-    version = doc.get("schema")
+# ---------------------------------------------------------------------------
+# JSON documents: every JSON format here writes via write_json and reads via read_json
+# ---------------------------------------------------------------------------
+
+
+class _Object(dict):
+    """A JSON object from ``read_json``. A missing key raises ParseError naming the
+    file and the key's path from the document root, such as ``grid.count``."""
+
+    def __init__(self, pairs, path):
+        super().__init__(pairs)
+        self.path, self.at = path, ""
+
+    def __getitem__(self, key):
+        if key not in self:
+            raise ParseError(f"{self.path}: missing key '{self.at}{key}'")
+        value = super().__getitem__(key)
+        if isinstance(value, _Object):
+            value.at = f"{self.at}{key}."
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                if isinstance(item, _Object):
+                    item.at = f"{self.at}{key}[{i}]."
+        return value
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+
+def write_json(path, doc: dict) -> None:
+    """Write ``doc`` as one JSON object, stamped ``"schema": SCHEMA_VERSION`` first."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"schema": SCHEMA_VERSION, **doc}, fh, indent=2)
+        fh.write("\n")
+
+
+def read_json(path) -> dict:
+    """Read a ``write_json`` document and return it without its schema stamp.
+
+    An unreadable file, invalid JSON or a document that is not an object raises
+    ParseError; another schema version raises SchemaVersionError. Indexing the
+    result at any depth raises ParseError naming the file and a missing key.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh, object_pairs_hook=lambda pairs: _Object(pairs, path))
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    if not isinstance(doc, _Object):
+        raise ParseError(f"{path}: document must be a JSON object, got {type(doc).__name__}")
+    version = doc.pop("schema", None)
     if version != SCHEMA_VERSION:
         raise SchemaVersionError(
             f"{path}: schema version {version!r} not supported (this library reads "
             f"{SCHEMA_VERSION})"
         )
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +291,14 @@ def save_database(directory, db: SensitivityDatabase) -> Path:
         save_sensitivity_csv(directory / filename, omega)
         entries.append({"name": name, "file": filename})
     manifest = directory / "database.json"
-    _dump_json(manifest, {"schema": SCHEMA_VERSION, "entries": entries})
+    write_json(manifest, {"entries": entries})
     return manifest
 
 
 def load_database(manifest_path, target_grid: SpectralGrid | None = None) -> SensitivityDatabase:
     manifest_path = Path(manifest_path)
-    doc = _load_json(manifest_path)
-    _require_schema(doc, manifest_path)
-    entries = doc.get("entries", [])
-    missing = [
-        e.get("file", "?") for e in entries if not (manifest_path.parent / e["file"]).exists()
-    ]
+    entries = read_json(manifest_path).get("entries", [])
+    missing = [e["file"] for e in entries if not (manifest_path.parent / e["file"]).exists()]
     if missing:
         raise ParseError(
             f"{manifest_path}: manifest references missing file(s): {', '.join(missing)}"
@@ -331,19 +379,6 @@ def load_gamut_samples(path) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def response_to_dict(curve: ResponseCurve) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "bit_depth": curve.bit_depth,
-        "ln_e": curve.ln_e.tolist(),
-    }
-
-
-def response_from_dict(doc: dict, path="<memory>") -> ResponseCurve:
-    _require_schema(doc, path)
-    return ResponseCurve(int(doc["bit_depth"]), np.asarray(doc["ln_e"], dtype=float))
-
-
 def grid_to_dict(grid: SpectralGrid) -> dict:
     return {"start_nm": grid.start_nm, "step_nm": grid.step_nm, "count": grid.count}
 
@@ -376,22 +411,24 @@ def gamut_from_dict(doc: dict | None) -> RbfGamutMap | None:
     )
 
 
-def camera_to_dict(cam: CameraModel) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "exposure_applied": EXPOSURE_CONVENTION,
-        "grid": grid_to_dict(cam.grid),
-        "bit_depth": cam.bit_depth,
-        "sat_lo": cam.sat_lo,
-        "sat_hi": cam.sat_hi,
-        "omega": cam.omega.channels.tolist(),
-        "response": {"ln_e": cam.response.ln_e.tolist()},
-        "gamut": gamut_to_dict(cam.gamut),
-    }
+def save_camera(path, cam: CameraModel) -> None:
+    write_json(
+        path,
+        {
+            "exposure_applied": EXPOSURE_CONVENTION,
+            "grid": grid_to_dict(cam.grid),
+            "bit_depth": cam.bit_depth,
+            "sat_lo": cam.sat_lo,
+            "sat_hi": cam.sat_hi,
+            "omega": cam.omega.channels.tolist(),
+            "response": {"ln_e": cam.response.ln_e.tolist()},
+            "gamut": gamut_to_dict(cam.gamut),
+        },
+    )
 
 
-def camera_from_dict(doc: dict, path="<memory>") -> CameraModel:
-    _require_schema(doc, path)
+def load_camera(path) -> CameraModel:
+    doc = read_json(path)
     grid = grid_from_dict(doc["grid"])
     return CameraModel(
         grid=grid,
@@ -404,41 +441,25 @@ def camera_from_dict(doc: dict, path="<memory>") -> CameraModel:
     )
 
 
-def save_camera(path, cam: CameraModel) -> None:
-    _dump_json(path, camera_to_dict(cam))
-
-
-def load_camera(path) -> CameraModel:
-    return camera_from_dict(_load_json(path), path)
-
-
 # ---------------------------------------------------------------------------
 # Pipeline config JSON
 # ---------------------------------------------------------------------------
 
 
-def config_to_dict(cfg: PipelineConfig, grid: SpectralGrid | None = None) -> dict:
-    doc = {"schema": SCHEMA_VERSION}
-    if grid is not None:
-        doc["grid"] = grid_to_dict(grid)
-    doc.update(asdict(cfg))
-    return doc
-
-
-def config_from_dict(doc: dict, path="<memory>") -> tuple[PipelineConfig, SpectralGrid | None]:
-    _require_schema(doc, path)
-    grid = grid_from_dict(doc["grid"]) if doc.get("grid") is not None else None
-    known = {f for f in PipelineConfig.__dataclass_fields__}
-    kwargs = {k: v for k, v in doc.items() if k in known}
-    return PipelineConfig(**kwargs), grid
-
-
 def save_config(path, cfg: PipelineConfig, grid: SpectralGrid | None = None) -> None:
-    _dump_json(path, config_to_dict(cfg, grid))
+    doc = {} if grid is None else {"grid": grid_to_dict(grid)}
+    write_json(path, {**doc, **asdict(cfg)})
 
 
 def load_config(path) -> tuple[PipelineConfig, SpectralGrid | None]:
-    return config_from_dict(_load_json(path), path)
+    """Read a config; keys other than ``grid`` and the PipelineConfig fields are refused."""
+    doc = read_json(path)
+    grid = grid_from_dict(doc["grid"]) if doc.get("grid") is not None else None
+    fields = {k: v for k, v in doc.items() if k != "grid"}
+    unknown = [k for k in fields if k not in PipelineConfig.__dataclass_fields__]
+    if unknown:
+        raise ParseError(f"{path}: unknown config key(s): {', '.join(unknown)}")
+    return PipelineConfig(**fields), grid
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +487,9 @@ def save_dataset(directory, inp: CalibrationInput) -> Path:
         stack_files.append(name)
     first = inp.stacks[0]
     manifest = directory / "dataset.json"
-    _dump_json(
+    write_json(
         manifest,
         {
-            "schema": SCHEMA_VERSION,
             "grid": grid_to_dict(inp.grid),
             "bit_depth": first.bit_depth,
             "sat_lo": first.sat_lo,
@@ -484,8 +504,7 @@ def save_dataset(directory, inp: CalibrationInput) -> Path:
 
 def load_dataset(manifest_path) -> CalibrationInput:
     manifest_path = Path(manifest_path)
-    doc = _load_json(manifest_path)
-    _require_schema(doc, manifest_path)
+    doc = read_json(manifest_path)
     grid = grid_from_dict(doc["grid"])
     base = manifest_path.parent
     illuminants = load_spectral_csv(base / doc["illuminants"], Kind.ILLUMINANT, grid)
@@ -521,10 +540,9 @@ def save_evaluation_report(directory, report: EvaluationReport) -> tuple[Path, P
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     report_path = directory / "evaluation.json"
-    _dump_json(
+    write_json(
         report_path,
         {
-            "schema": SCHEMA_VERSION,
             "disjoint_from_training": report.disjoint_from_training,
             "unsaturated": _split_to_dict(report.unsaturated),
             "saturated": _split_to_dict(report.saturated),
@@ -579,26 +597,6 @@ def write_manifest(directory, manifest: RunManifest) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / "manifest.json"
-    _dump_json(path, {"schema": SCHEMA_VERSION, **asdict(manifest)})
+    write_json(path, asdict(manifest))
     return path
 
-
-# ---------------------------------------------------------------------------
-# JSON helpers
-# ---------------------------------------------------------------------------
-
-
-def _dump_json(path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-def _load_json(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc

@@ -191,10 +191,6 @@ class ReciprocityReport:
     mean_abs_deviation: np.ndarray  # (3,)
     n_pairs: np.ndarray  # (3,) int
 
-    @property
-    def worst(self) -> float:
-        return float(np.nanmax(self.max_abs_deviation))
-
 
 def check_exposure_reciprocity(stack: ExposureStack, curve: ResponseCurve) -> ReciprocityReport:
     """Verify g^-1(I_e1)/g^-1(I_e2) against e1/e2 over all valid sample pairs.

@@ -53,13 +53,11 @@ class SensitivityBasis:
 
     grid: SpectralGrid
     bases: np.ndarray  # (3, d, M), orthonormal rows per channel
-    singular_values: np.ndarray  # (3, min(n, M))
     d: int
     captured_variance: np.ndarray  # (3,) fraction of squared singular mass
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bases", _frozen_array(self.bases))
-        object.__setattr__(self, "singular_values", _frozen_array(self.singular_values))
         object.__setattr__(self, "captured_variance", _frozen_array(self.captured_variance))
 
     def channel_basis(self, k: int) -> np.ndarray:
@@ -73,16 +71,14 @@ def build_basis(db: SensitivityDatabase, d: int) -> SensitivityBasis:
     if not 1 <= d <= limit:
         raise ValueError(f"basis dimension must be in [1, {limit}], got {d}")
     bases = np.empty((3, d, m))
-    singulars = np.empty((3, limit))
     captured = np.empty(3)
     for k in range(3):
         x = db.stacked(k)
         _, s, vt = np.linalg.svd(x, full_matrices=False)
         bases[k] = vt[:d]
-        singulars[k] = s
         total = float((s**2).sum())
         captured[k] = float((s[:d] ** 2).sum() / total) if total > 0 else 0.0
-    return SensitivityBasis(db.grid, bases, singulars, d, captured)
+    return SensitivityBasis(db.grid, bases, d, captured)
 
 
 @dataclass(frozen=True, eq=False)

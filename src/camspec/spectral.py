@@ -109,10 +109,6 @@ class SensitivityMatrix:
     def channel(self, k: int) -> np.ndarray:
         return self.channels[:, k]
 
-    @property
-    def peak(self) -> float:
-        return float(self.channels.max())
-
 
 def resample(curve: SpectralCurve, target: SpectralGrid) -> SpectralCurve:
     """Linearly interpolate a curve onto another grid.

@@ -10,6 +10,7 @@ from camspec import (
     Kind,
     MeasurementSet,
     PipelineConfig,
+    ResponseCurve,
     SensitivityMatrix,
     SpectralCurve,
     SpectralGrid,
@@ -173,9 +174,9 @@ class TestCameraJson:
             io.load_camera(path)
 
     def test_exposure_convention_recorded(self, tmp_path):
-        cam = synthetic_camera(GRID)
-        doc = io.camera_to_dict(cam)
-        assert doc["exposure_applied"] == "after_gamut"
+        path = tmp_path / "camera.json"
+        io.save_camera(path, synthetic_camera(GRID))
+        assert json.loads(path.read_text())["exposure_applied"] == "after_gamut"
 
 
 class TestDatabaseIo:
@@ -452,7 +453,8 @@ class TestCli:
             "fit-response", "--stack", str(data_dir / "stack_000.csv"), "--out", str(out)
         ) == 0
         doc = json.loads((out / "response.json").read_text())
-        curve = io.response_from_dict(doc)
+        assert doc["schema"] == 1
+        curve = ResponseCurve(doc["bit_depth"], np.asarray(doc["ln_e"], dtype=float))
         assert curve.bit_depth == 8
         assert json.loads((out / "reciprocity.json").read_text())["n_pairs"]
 
@@ -732,3 +734,151 @@ class TestBlankLines:
         np.testing.assert_array_equal(wl, [400.0, 410.0])
         assert names == ["v"]
         np.testing.assert_array_equal(values, [[1.0], [2.0]])
+
+
+@pytest.fixture(scope="module")
+def synth_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("synth")
+    assert run_cli("synth", "--out", str(out), "--seed", "1") == 0
+    return out
+
+
+def _edited(src, dst, edit):
+    """Write JSON document ``src`` to ``dst`` after ``edit`` changes it in place."""
+    doc = json.loads(src.read_text())
+    edit(doc)
+    dst.write_text(json.dumps(doc))
+    return dst
+
+
+def _camera_without_omega(data, tmp):
+    cam = _edited(data / "truth_camera.json", tmp / "cam.json", lambda d: d.pop("omega"))
+    return cam, "'omega'", ["evaluate", "--camera", str(cam),
+                            "--dataset", str(data / "dataset.json")]
+
+
+def _camera_grid_without_count(data, tmp):
+    cam = _edited(data / "truth_camera.json", tmp / "cam.json", lambda d: d["grid"].pop("count"))
+    return cam, "'grid.count'", ["evaluate", "--camera", str(cam),
+                                 "--dataset", str(data / "dataset.json")]
+
+
+def _dataset_without_stacks(data, tmp):
+    # Next to the original: the dataset's CSV names are relative to it.
+    ds = _edited(data / "dataset.json", data / "no_stacks.json", lambda d: d.pop("stacks"))
+    return ds, "'stacks'", ["evaluate", "--camera", str(data / "truth_camera.json"),
+                            "--dataset", str(ds)]
+
+
+def _database_entry_without_file(data, tmp):
+    manifest = io.save_database(tmp / "db", synthetic_database(GRID, n_entries=3, seed=3))
+    _edited(manifest, manifest, lambda d: d["entries"][1].pop("file"))
+    return manifest, "'entries[1].file'", ["pipeline", "--dataset", str(data / "dataset.json"),
+                                           "--database", str(manifest)]
+
+
+def _scene_without_reflectances(data, tmp):
+    scene = tmp / "scene.json"
+    scene.write_text(json.dumps({"schema": 1, "illuminant": str(data / "illuminants.csv"),
+                                 "exposures": [1.0]}))
+    return scene, "'reflectances'", ["simulate", "--camera", str(data / "truth_camera.json"),
+                                     "--scene", str(scene)]
+
+
+def _list_document(data, tmp):
+    cam = tmp / "cam.json"
+    cam.write_text("[1, 2]")
+    return cam, "must be a JSON object, got list", [
+        "evaluate", "--camera", str(cam), "--dataset", str(data / "dataset.json")]
+
+
+def _unknown_config_key(data, tmp):
+    cfg = tmp / "cfg.json"
+    io.save_config(cfg, PipelineConfig())
+    _edited(cfg, cfg, lambda d: d.update(smoothnes_lambda=5))
+    return cfg, "unknown config key(s): smoothnes_lambda", [
+        "pipeline", "--config", str(cfg), "--dataset", str(data / "dataset.json")]
+
+
+def _scene(data, tmp):
+    scene = tmp / "scene.json"
+    scene.write_text(json.dumps({"schema": 1, "illuminant": str(data / "illuminants.csv"),
+                                 "reflectances": str(data / "reflectances.csv"),
+                                 "exposures": [0.5, 1.0]}))
+    return ["--camera", str(data / "truth_camera.json"), "--scene", str(scene)]
+
+
+def _fit_sensitivity_inputs(data, tmp):
+    rng = np.random.default_rng(3)
+    p = rng.uniform(0, 1, size=(24, GRID.count))
+    m = MeasurementSet(GRID, p, p @ rng.uniform(0, 0.01, size=(GRID.count, 3)),
+                       np.ones(24, dtype=bool))
+    radiance, table = io.save_measurement_set(tmp, m)
+    return ["--radiance", str(radiance), "--measurements", str(table)]
+
+
+def _gamut_samples(data, tmp):
+    s = np.random.default_rng(4).uniform(0.05, 1.0, size=(30, 3))
+    path = tmp / "samples.csv"
+    np.savetxt(path, np.hstack([s, s + 0.05 * np.sin(3 * s)]), delimiter=",",
+               header="S_r,S_g,S_b,E_r,E_g,E_b", comments="")
+    return ["--samples", str(path)]
+
+
+#: One successful run of each subcommand: command -> f(synth dir, tmp dir) -> arguments.
+CLI_RUNS = {
+    "synth": lambda data, tmp: ["--seed", "2"],
+    "simulate": _scene,
+    "fit-response": lambda data, tmp: ["--stack", str(data / "stack_000.csv")],
+    "fit-sensitivity": _fit_sensitivity_inputs,
+    "fit-gamut": _gamut_samples,
+    "pipeline": lambda data, tmp: ["--dataset", str(data / "dataset.json")],
+    "evaluate": lambda data, tmp: ["--camera", str(data / "truth_camera.json"),
+                                   "--dataset", str(data / "dataset.json")],
+    "export-chromaticity": lambda data, tmp: ["--camera", str(data / "truth_camera.json"),
+                                              "--dataset", str(data / "dataset.json")],
+}
+
+
+class TestJsonDocuments:
+    """Every JSON document is written stamped ``"schema": 1`` and read through one reader."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [_camera_without_omega, _camera_grid_without_count, _dataset_without_stacks,
+         _database_entry_without_file, _scene_without_reflectances, _list_document,
+         _unknown_config_key],
+        ids=["camera-omega", "camera-grid-count", "dataset-stacks", "database-entry-file",
+             "scene-reflectances", "list-document", "config-unknown-key"],
+    )
+    def test_malformed_document_exits_3_naming_file_and_key(
+        self, synth_dir, tmp_path, capsys, build
+    ):
+        bad, key, argv = build(synth_dir, tmp_path)
+        assert run_cli(*argv, "--out", str(tmp_path / "o")) == 3
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ParseError"
+        assert err["message"].startswith(f"{bad}: ")
+        assert key in err["message"]
+        # A failing command writes no manifest.
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", list(CLI_RUNS))
+    def test_every_written_document_starts_with_the_schema(self, synth_dir, tmp_path, command):
+        out = tmp_path / "out"
+        argv = CLI_RUNS[command](synth_dir, tmp_path)
+        assert run_cli(command, *argv, "--out", str(out)) == 0
+        written = sorted(out.rglob("*.json"))
+        assert out / "manifest.json" in written
+        for path in written:
+            assert path.read_text().startswith('{\n  "schema": 1,\n'), path.name
+
+    def test_synth_draws_with_the_config_seed(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        io.save_config(cfg, PipelineConfig(seed=4))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_cli("synth", "--out", str(a), "--config", str(cfg),
+                       "--warp-strength", "0.05") == 0
+        assert run_cli("synth", "--out", str(b), "--seed", "4", "--warp-strength", "0.05") == 0
+        assert tree_digest(a) == tree_digest(b)
+        assert json.loads((a / "manifest.json").read_text())["seed"] == 4
