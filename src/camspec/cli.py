@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,17 +32,13 @@ from .errors import (
 from .gamut import (
     GamutFitConfig, apply_gamut_map_batch, chromaticity, fit_gamut_map, partition_gamut,
 )
-from .pipeline import (
-    PipelineConfig,
-    evaluate,
-    generate_synthetic_dataset,
-    run_two_stage,
-    synthetic_camera,
-    synthetic_gamut_warp,
-)
+from .pipeline import PipelineConfig, evaluate, run_two_stage
 from .response import ExposureStack, ResponseFitConfig, check_exposure_reciprocity, estimate_response
-from .sensitivity import build_basis, cross_validate, estimate_constrained, synthetic_database
-from .spectral import Kind, SpectralGrid, radiance_rows
+from .sensitivity import build_basis, cross_validate, estimate_constrained
+from .spectral import SpectralGrid, radiance_rows
+from .synthetic import (
+    generate_synthetic_dataset, synthetic_camera, synthetic_database, synthetic_gamut_warp,
+)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -133,15 +130,13 @@ def _cmd_synth(args, run: _Run) -> dict | None:
     cfg = _load_pipeline_config(args, run)
     grid = SpectralGrid(args.grid_start, args.grid_step, args.grid_count)
     run.seed = seed = cfg.seed
-    gamut = None
-    if args.warp_strength > 0:
-        plain = synthetic_camera(grid, gamma=args.gamma, peak=args.peak)
-        scale = float(0.5 * plain.omega.channels.sum(axis=0).mean())
-        gamut = synthetic_gamut_warp(scale=scale, strength=args.warp_strength, seed=seed)
     truth = synthetic_camera(
-        grid, gamma=args.gamma, gamut=gamut, peak=args.peak,
-        sat_lo=cfg.sat_lo, sat_hi=cfg.sat_hi,
+        grid, gamma=args.gamma, peak=args.peak, sat_lo=cfg.sat_lo, sat_hi=cfg.sat_hi
     )
+    if args.warp_strength > 0:
+        scale = float(0.5 * truth.omega.channels.sum(axis=0).mean())
+        warp = synthetic_gamut_warp(scale=scale, strength=args.warp_strength, seed=seed)
+        truth = replace(truth, gamut=warp)
     exposures = [float(tok) for tok in args.exposures.split(",")]
     data = generate_synthetic_dataset(
         truth, args.n_illuminants, args.n_patches, exposures, seed=seed
@@ -152,12 +147,7 @@ def _cmd_synth(args, run: _Run) -> dict | None:
 
 def _cmd_simulate(args, run: _Run) -> dict | None:
     cam = io.load_camera(run.track(args.camera))
-    scene_path = run.track(args.scene)
-    scene = io.read_json(scene_path)
-    base = scene_path.parent
-    light = io.load_spectral_csv(base / scene["illuminant"], Kind.ILLUMINANT, cam.grid)[0]
-    surfaces = io.load_spectral_csv(base / scene["reflectances"], Kind.REFLECTANCE, cam.grid)
-    exposures = np.asarray([float(e) for e in scene["exposures"]], dtype=float)
+    light, surfaces, exposures = io.load_scene(run.track(args.scene), cam.grid)
     samples = render(cam, radiance_rows([light], surfaces), exposures)
     stack = ExposureStack(exposures, samples, cam.bit_depth, cam.sat_lo, cam.sat_hi)
     io.save_stack_csv(run.out / "pixels.csv", stack)

@@ -1,4 +1,4 @@
-"""File formats: spectral/stack/database CSV, camera and config JSON, run manifests.
+"""File formats: spectral/stack/database CSV, camera, config and scene JSON, run manifests.
 
 JSON carries structured models, CSV carries tables meant for external
 plotting. Floats are written with ``repr`` so every documented round trip
@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import typing
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from itertools import chain
@@ -64,6 +65,49 @@ class _Object(dict):
 
     def get(self, key, default=None):
         return self[key] if key in self else default
+
+
+#: What each JSON kind a loader may ask for accepts; exact types, so a bool is not a number.
+_ACCEPTS = {float: (int, float), int: (int,), str: (str,), type(None): (type(None),)}
+_NAMES = {
+    float: ("a number", "numbers"), int: ("an integer", "integers"), str: ("a string", "strings"),
+    dict: ("an object", "objects"), type(None): ("null", "nulls"),
+}
+_MATRIX = list[list[float]]
+
+
+def _is(value, kind) -> bool:
+    """Whether a decoded JSON value is a ``kind``: float (any number), int, str, dict,
+    ``list[kind]`` or a union such as ``int | None``."""
+    if kind in _ACCEPTS:
+        return type(value) in _ACCEPTS[kind]
+    if kind is dict:
+        return isinstance(value, dict)
+    if typing.get_origin(kind) is list:
+        return isinstance(value, list) and all(_is(v, typing.get_args(kind)[0]) for v in value)
+    return any(_is(value, k) for k in typing.get_args(kind))
+
+
+def _name(kind, plural=False) -> str:
+    if typing.get_origin(kind) is list:
+        return f"{'arrays' if plural else 'an array'} of {_name(typing.get_args(kind)[0], True)}"
+    if kind in _NAMES:
+        return _NAMES[kind][plural]
+    return " or ".join(_name(k, plural) for k in typing.get_args(kind))
+
+
+def _typed(doc: dict, key: str, kind):
+    """``doc[key]`` checked to be a JSON ``kind`` (see ``_is``); a kind that admits None
+    also admits a missing key. Any other value raises ParseError naming the file and the key."""
+    value = doc.get(key) if _is(None, kind) else doc[key]
+    if not _is(value, kind):
+        shown = "an object" if isinstance(value, dict) else (
+            "an array" if isinstance(value, list) else json.dumps(value))
+        raise ParseError(
+            f"{getattr(doc, 'path', 'JSON document')}: key '{getattr(doc, 'at', '')}{key}' "
+            f"must be {_name(kind)}, got {shown}"
+        )
+    return value
 
 
 def write_json(path, doc: dict) -> None:
@@ -297,18 +341,19 @@ def save_database(directory, db: SensitivityDatabase) -> Path:
 
 def load_database(manifest_path, target_grid: SpectralGrid | None = None) -> SensitivityDatabase:
     manifest_path = Path(manifest_path)
-    entries = read_json(manifest_path).get("entries", [])
-    missing = [e["file"] for e in entries if not (manifest_path.parent / e["file"]).exists()]
+    entries = _typed(read_json(manifest_path), "entries", list[dict] | None) or []
+    files = [_typed(e, "file", str) for e in entries]
+    missing = [f for f in files if not (manifest_path.parent / f).exists()]
     if missing:
         raise ParseError(
             f"{manifest_path}: manifest references missing file(s): {', '.join(missing)}"
         )
     loaded = []
     grid = target_grid
-    for entry in entries:
-        omega = load_sensitivity_csv(manifest_path.parent / entry["file"], grid)
+    for entry, file in zip(entries, files):
+        omega = load_sensitivity_csv(manifest_path.parent / file, grid)
         grid = omega.grid
-        loaded.append((entry["name"], omega))
+        loaded.append((_typed(entry, "name", str), omega))
     if grid is None:
         raise ParseError(f"{manifest_path}: manifest lists no entries")
     return SensitivityDatabase(tuple(loaded), grid)
@@ -384,7 +429,8 @@ def grid_to_dict(grid: SpectralGrid) -> dict:
 
 
 def grid_from_dict(doc: dict) -> SpectralGrid:
-    return SpectralGrid(float(doc["start_nm"]), float(doc["step_nm"]), int(doc["count"]))
+    start, step = (float(_typed(doc, k, float)) for k in ("start_nm", "step_nm"))
+    return SpectralGrid(start, step, _typed(doc, "count", int))
 
 
 def gamut_to_dict(gmap: RbfGamutMap | None) -> dict | None:
@@ -403,11 +449,11 @@ def gamut_from_dict(doc: dict | None) -> RbfGamutMap | None:
     if doc is None:
         return None
     return RbfGamutMap(
-        centers=np.asarray(doc["centers"], dtype=float),
-        weights=np.asarray(doc["weights"], dtype=float),
-        kernel_width=float(doc["kernel_width"]),
-        ridge=float(doc["ridge"]),
-        affine=np.asarray(doc["affine"], dtype=float),
+        centers=np.asarray(_typed(doc, "centers", _MATRIX), dtype=float),
+        weights=np.asarray(_typed(doc, "weights", _MATRIX), dtype=float),
+        kernel_width=float(_typed(doc, "kernel_width", float)),
+        ridge=float(_typed(doc, "ridge", float)),
+        affine=np.asarray(_typed(doc, "affine", _MATRIX), dtype=float),
     )
 
 
@@ -429,15 +475,17 @@ def save_camera(path, cam: CameraModel) -> None:
 
 def load_camera(path) -> CameraModel:
     doc = read_json(path)
-    grid = grid_from_dict(doc["grid"])
+    grid = grid_from_dict(_typed(doc, "grid", dict))
+    bit_depth = _typed(doc, "bit_depth", int)
+    ln_e = _typed(_typed(doc, "response", dict), "ln_e", _MATRIX)
     return CameraModel(
         grid=grid,
-        omega=SensitivityMatrix(grid, np.asarray(doc["omega"], dtype=float)),
-        response=ResponseCurve(int(doc["bit_depth"]), np.asarray(doc["response"]["ln_e"])),
-        gamut=gamut_from_dict(doc.get("gamut")),
-        bit_depth=int(doc["bit_depth"]),
-        sat_lo=int(doc["sat_lo"]),
-        sat_hi=int(doc["sat_hi"]),
+        omega=SensitivityMatrix(grid, np.asarray(_typed(doc, "omega", _MATRIX), dtype=float)),
+        response=ResponseCurve(bit_depth, np.asarray(ln_e)),
+        gamut=gamut_from_dict(_typed(doc, "gamut", dict | None)),
+        bit_depth=bit_depth,
+        sat_lo=_typed(doc, "sat_lo", int),
+        sat_hi=_typed(doc, "sat_hi", int),
     )
 
 
@@ -452,14 +500,16 @@ def save_config(path, cfg: PipelineConfig, grid: SpectralGrid | None = None) -> 
 
 
 def load_config(path) -> tuple[PipelineConfig, SpectralGrid | None]:
-    """Read a config; keys other than ``grid`` and the PipelineConfig fields are refused."""
+    """Read a config; keys other than ``grid`` and the PipelineConfig fields are refused,
+    and each field's value must have the field's annotated type."""
     doc = read_json(path)
-    grid = grid_from_dict(doc["grid"]) if doc.get("grid") is not None else None
-    fields = {k: v for k, v in doc.items() if k != "grid"}
-    unknown = [k for k in fields if k not in PipelineConfig.__dataclass_fields__]
+    grid = _typed(doc, "grid", dict | None)
+    types = typing.get_type_hints(PipelineConfig)
+    unknown = [k for k in doc if k != "grid" and k not in types]
     if unknown:
         raise ParseError(f"{path}: unknown config key(s): {', '.join(unknown)}")
-    return PipelineConfig(**fields), grid
+    fields = {k: _typed(doc, k, types[k]) for k in doc if k != "grid"}
+    return PipelineConfig(**fields), grid_from_dict(grid) if grid is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -505,20 +555,27 @@ def save_dataset(directory, inp: CalibrationInput) -> Path:
 def load_dataset(manifest_path) -> CalibrationInput:
     manifest_path = Path(manifest_path)
     doc = read_json(manifest_path)
-    grid = grid_from_dict(doc["grid"])
+    grid = grid_from_dict(_typed(doc, "grid", dict))
     base = manifest_path.parent
-    illuminants = load_spectral_csv(base / doc["illuminants"], Kind.ILLUMINANT, grid)
-    reflectances = load_spectral_csv(base / doc["reflectances"], Kind.REFLECTANCE, grid)
+    illuminants = load_spectral_csv(base / _typed(doc, "illuminants", str), Kind.ILLUMINANT, grid)
+    reflectances = load_spectral_csv(
+        base / _typed(doc, "reflectances", str), Kind.REFLECTANCE, grid
+    )
+    bit_depth, sat_lo, sat_hi = (_typed(doc, k, int) for k in ("bit_depth", "sat_lo", "sat_hi"))
     stacks = [
-        load_stack_csv(
-            base / name,
-            bit_depth=int(doc["bit_depth"]),
-            sat_lo=int(doc["sat_lo"]),
-            sat_hi=int(doc["sat_hi"]),
-        )
-        for name in doc["stacks"]
+        load_stack_csv(base / name, bit_depth, sat_lo, sat_hi)
+        for name in _typed(doc, "stacks", list[str])
     ]
     return CalibrationInput(grid, tuple(illuminants), tuple(reflectances), tuple(stacks))
+
+
+def load_scene(path, grid: SpectralGrid) -> tuple[SpectralCurve, list, np.ndarray]:
+    """Read a ``simulate`` scene: (illuminant, reflectances, exposures). Its CSV paths are
+    relative to the scene file; only the illuminant CSV's first column is used."""
+    doc, base = read_json(path), Path(path).parent
+    light = load_spectral_csv(base / _typed(doc, "illuminant", str), Kind.ILLUMINANT, grid)[0]
+    surfaces = load_spectral_csv(base / _typed(doc, "reflectances", str), Kind.REFLECTANCE, grid)
+    return light, surfaces, np.asarray(_typed(doc, "exposures", list[float]), dtype=float)
 
 
 # ---------------------------------------------------------------------------

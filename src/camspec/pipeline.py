@@ -1,4 +1,4 @@
-"""Two-stage camera estimation, evaluation, and the synthetic-data oracle.
+"""Two-stage camera estimation and evaluation.
 
 Estimating the sensitivity, response, and gamut map simultaneously is
 ill-posed, so stage 1 restricts itself to inner-gamut samples (where the
@@ -12,13 +12,14 @@ the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .camera import CameraModel, ResponseCurve, render
 from .errors import GridMismatchError, PipelineError
-from .gamut import GamutFitConfig, RbfGamutMap, fit_gamut_map, partition_gamut
+from .gamut import GamutFitConfig, fit_gamut_map, partition_gamut
 from .response import (
     ExposureStack,
     ReciprocityReport,
@@ -34,10 +35,8 @@ from .sensitivity import (
     build_basis,
     cross_validate,
     estimate_constrained,
-    synthetic_database,
-    _gaussian,
 )
-from .spectral import Kind, SensitivityMatrix, SpectralCurve, SpectralGrid, radiance_rows
+from .spectral import Kind, SpectralGrid, radiance_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,10 +65,16 @@ class CalibrationInput:
             for curve in ill:
                 if curve.kind is not kind:
                     raise ValueError(f"expected {kind.value} curves, got {curve.kind.value}")
-        for stack in stacks:
+        coding = [(s.bit_depth, s.sat_lo, s.sat_hi) for s in stacks]
+        for i, stack in enumerate(stacks):
             if stack.n_patches != len(reflectances):
                 raise ValueError(
                     f"stack has {stack.n_patches} patches, expected {len(reflectances)}"
+                )
+            if coding[i] != coding[0]:
+                raise ValueError(
+                    f"stack {i} has (bit_depth, sat_lo, sat_hi) = {coding[i]} but stack 0 "
+                    f"has {coding[0]}; every stack must share them"
                 )
         object.__setattr__(self, "illuminants", illuminants)
         object.__setattr__(self, "reflectances", reflectances)
@@ -133,16 +138,8 @@ def _merge_stacks(inp: CalibrationInput) -> tuple[ExposureStack, np.ndarray]:
                 "stage 1: stacks use different exposure lists; the two-stage "
                 "estimator requires a shared exposure schedule"
             )
-        if (
-            stack.bit_depth != first.bit_depth
-            or stack.sat_lo != first.sat_lo
-            or stack.sat_hi != first.sat_hi
-        ):
-            raise PipelineError("stage 1: stacks disagree on bit depth or thresholds")
-    samples = np.concatenate([s.samples for s in inp.stacks], axis=0)
-    merged = ExposureStack(
-        first.exposures, samples, first.bit_depth, first.sat_lo, first.sat_hi
-    )
+    # CalibrationInput guarantees every stack has stack 0's bit depth and thresholds.
+    merged = replace(first, samples=np.concatenate([s.samples for s in inp.stacks], axis=0))
     return merged, radiance_rows(inp.illuminants, inp.reflectances)
 
 
@@ -154,13 +151,32 @@ def _linearized(stack: ExposureStack, curve: ResponseCurve, q, i) -> np.ndarray:
 
 
 def _inner_mask(
-    stack: ExposureStack, curve: ResponseCurve, vq, vi, alpha: float
+    stack: ExposureStack, curve: ResponseCurve, vq, vi, cfg: PipelineConfig
 ) -> np.ndarray:
+    """Inner-gamut samples under the linearization ``curve``; fewer than
+    ``cfg.min_inner`` is a PipelineError."""
     proxies = _linearized(stack, curve, vq, vi)
-    part = partition_gamut(proxies, alpha)
+    part = partition_gamut(proxies, cfg.alpha)
     mask = np.zeros((stack.n_patches, stack.n_exposures), dtype=bool)
     mask[vq[part.inner_indices], vi[part.inner_indices]] = True
+    count = int(mask.sum())
+    if count < cfg.min_inner:
+        raise PipelineError(
+            f"stage 1: only {count} inner-gamut samples (need >= {cfg.min_inner}); "
+            f"increase alpha (currently {cfg.alpha}) or add near-neutral patches"
+        )
     return mask
+
+
+@contextmanager
+def _stage(label: str):
+    """Re-raise a failure inside one estimation stage as PipelineError naming the stage."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as exc:
+        raise PipelineError(f"stage {label}: {exc}") from exc
 
 
 def run_two_stage(
@@ -185,31 +201,16 @@ def run_two_stage(
     if vq.size == 0:
         raise PipelineError("stage 1: every sample is saturated; nothing to fit")
 
-    provisional = ResponseCurve.from_gamma(2.2, merged.bit_depth)
+    g_hat = ResponseCurve.from_gamma(2.2, merged.bit_depth)  # provisional
     resp_cfg = ResponseFitConfig(smoothness_lambda=cfg.smoothness_lambda)
 
-    def require_inner(mask: np.ndarray) -> None:
-        count = int(mask.sum())
-        if count < cfg.min_inner:
-            raise PipelineError(
-                f"stage 1: only {count} inner-gamut samples (need >= {cfg.min_inner}); "
-                f"increase alpha (currently {cfg.alpha}) or add near-neutral patches"
-            )
+    with _stage("1 (response)"):
+        for _ in range(2):  # partition under the current curve, then refit it there
+            mask = _inner_mask(merged, g_hat, vq, vi, cfg)
+            g_hat = estimate_response(merged, resp_cfg, sample_mask=mask)
 
-    try:
-        mask0 = _inner_mask(merged, provisional, vq, vi, cfg.alpha)
-        require_inner(mask0)
-        g0 = estimate_response(merged, resp_cfg, sample_mask=mask0)
-        mask1 = _inner_mask(merged, g0, vq, vi, cfg.alpha)
-        require_inner(mask1)
-        g_hat = estimate_response(merged, resp_cfg, sample_mask=mask1)
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError(f"stage 1 (response): {exc}") from exc
-
-    try:
-        iq, ii = np.nonzero(mask1)
+    with _stage("1 (sensitivity)"):
+        iq, ii = np.nonzero(mask)
         mset = MeasurementSet(
             inp.grid,
             p_rows[iq],
@@ -217,16 +218,13 @@ def run_two_stage(
             np.ones(iq.size, dtype=bool),
         )
         if basis is None:
+            from .synthetic import synthetic_database  # late: synthetic imports this module
             db = database or synthetic_database(inp.grid, cfg.database_entries, cfg.seed)
             basis = build_basis(db, cfg.basis_dim)
         fit = estimate_constrained(mset, basis)
         cv = cross_validate(mset, basis, folds=cfg.folds, seed=cfg.seed)
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError(f"stage 1 (sensitivity): {exc}") from exc
 
-    try:
+    with _stage("2 (gamut map)"):
         s_pred = p_rows[vq] @ fit.omega_hat.channels
         e_targets = _linearized(merged, g_hat, vq, vi)
         gfit = fit_gamut_map(
@@ -234,8 +232,6 @@ def run_two_stage(
             e_targets,
             GamutFitConfig(cfg.rbf_max_centers, cfg.rbf_ridge, cfg.rbf_kernel_width),
         )
-    except Exception as exc:
-        raise PipelineError(f"stage 2 (gamut map): {exc}") from exc
 
     camera = CameraModel(
         grid=inp.grid,
@@ -248,8 +244,8 @@ def run_two_stage(
     )
     reciprocity = check_exposure_reciprocity(merged, g_hat)
     stage1 = Stage1Diagnostics(
-        inner_count=int(mask1.sum()),
-        outer_count=int(vq.size - mask1.sum()),
+        inner_count=int(mask.sum()),
+        outer_count=int(vq.size - mask.sum()),
         reciprocity=reciprocity,
         sensitivity_cv=cv,
     )
@@ -327,165 +323,3 @@ def evaluate(
         disjoint_from_training=disjoint_from_training,
     )
 
-
-def synthetic_camera(
-    grid: SpectralGrid,
-    gamma=2.2,
-    gamut: RbfGamutMap | None = None,
-    bit_depth: int = 8,
-    sat_lo: int | None = None,
-    sat_hi: int | None = None,
-    peak: float = 0.25,
-) -> CameraModel:
-    """Deterministic ground-truth camera: Gaussian-bump sensitivities, power-law
-    response, optional gamut warp.
-
-    Channel curves are normalized to a common spectral sum (the camera is
-    white balanced under a flat spectrum); ``peak`` sets the red maximum so
-    typical scenes land mid-range at exposures around a second. Thresholds
-    default to 10/230 scaled proportionally to the bit depth.
-    """
-    wl = grid.wavelengths
-    bumps = [
-        _gaussian(wl, 605.0, 30.0),
-        _gaussian(wl, 540.0, 33.0),
-        _gaussian(wl, 465.0, 28.0),
-    ]
-    channels = np.stack([b / b.sum() for b in bumps], axis=1)
-    omega = SensitivityMatrix(grid, channels * (peak / channels[:, 0].max()))
-    return CameraModel(
-        grid=grid,
-        omega=omega,
-        response=ResponseCurve.from_gamma(gamma, bit_depth),
-        gamut=gamut,
-        bit_depth=bit_depth,
-        sat_lo=sat_lo,
-        sat_hi=sat_hi,
-    )
-
-
-def camera_in_basis_span(
-    grid: SpectralGrid,
-    parents: np.ndarray,
-    gamma=2.2,
-    gamut: RbfGamutMap | None = None,
-    peak: float = 0.25,
-    seed: int = 3,
-    bit_depth: int = 8,
-    sat_lo: int | None = None,
-    sat_hi: int | None = None,
-) -> CameraModel:
-    """Ground-truth camera whose sensitivity is a positive parent combination,
-    hence exactly inside the basis built from a spanning database."""
-    rng = np.random.default_rng(seed)
-    d = parents.shape[1]
-    cols = np.empty((grid.count, 3))
-    for k in range(3):
-        mix = rng.uniform(0.2, 1.0, size=d)
-        col = mix @ parents[k]
-        cols[:, k] = col * (peak / col.max())
-    return CameraModel(
-        grid=grid,
-        omega=SensitivityMatrix(grid, cols),
-        response=ResponseCurve.from_gamma(gamma, bit_depth),
-        gamut=gamut,
-        bit_depth=bit_depth,
-        sat_lo=sat_lo,
-        sat_hi=sat_hi,
-    )
-
-
-def synthetic_gamut_warp(scale: float = 1.0, strength: float = 0.05, seed: int = 0) -> RbfGamutMap:
-    """A mild nonlinear warp: identity affine plus RBF bumps anchored near the
-    chromatic corners, so the deviation is small near the neutral axis and
-    grows toward the gamut edge. ``scale`` is the typical raw-tristimulus
-    magnitude of the camera it will be attached to."""
-    rng = np.random.default_rng(seed)
-    corners = np.array(
-        [
-            [1.00, 0.15, 0.15],
-            [0.15, 1.00, 0.15],
-            [0.15, 0.15, 1.00],
-            [1.00, 1.00, 0.20],
-            [1.00, 0.20, 1.00],
-            [0.20, 1.00, 1.00],
-        ]
-    )
-    centers = corners * scale
-    directions = rng.uniform(-1.0, 1.0, size=(len(corners), 3))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    weights = strength * scale * directions
-    width = 0.35 * scale
-    # Offset chosen so the map fixes the origin: dark scenes stay dark.
-    kernels_at_zero = np.exp(-(centers**2).sum(axis=1) / (2.0 * width * width))
-    affine = np.hstack([np.eye(3), -(weights.T @ kernels_at_zero)[:, None]])
-    return RbfGamutMap(
-        centers=centers,
-        weights=weights,
-        kernel_width=width,
-        ridge=0.0,
-        affine=affine,
-    )
-
-
-def _smooth(values: np.ndarray, sigma_samples: float = 2.0) -> np.ndarray:
-    radius = int(np.ceil(3 * sigma_samples))
-    x = np.arange(-radius, radius + 1, dtype=float)
-    kernel = np.exp(-0.5 * (x / sigma_samples) ** 2)
-    kernel /= kernel.sum()
-    padded = np.pad(values, radius, mode="reflect")
-    return np.convolve(padded, kernel, mode="valid")
-
-
-def generate_synthetic_dataset(
-    truth: CameraModel,
-    n_illuminants: int,
-    n_patches: int,
-    exposures,
-    seed: int = 0,
-) -> CalibrationInput:
-    """Deterministic desk-scale calibration data simulated through a truth camera.
-
-    Illuminants are sums of 2-4 positive Gaussian bumps; reflectances are
-    smoothed uniform noise scaled over a wide brightness range so the
-    exposure stacks cover the code range. The same seed reproduces the
-    dataset byte for byte.
-    """
-    if n_illuminants < 1 or n_patches < 1:
-        raise ValueError("need at least one illuminant and one patch")
-    exposures = np.asarray(list(exposures), dtype=float)
-    if exposures.size < 1 or (exposures <= 0).any():
-        raise ValueError("exposures must be a nonempty list of positive seconds")
-    rng = np.random.default_rng(seed)
-    grid = truth.grid
-    wl = grid.wavelengths
-
-    illuminants = []
-    for _ in range(n_illuminants):
-        n_bumps = int(rng.integers(2, 5))
-        values = np.zeros(grid.count)
-        for _ in range(n_bumps):
-            center = rng.uniform(grid.start_nm, grid.end_nm)
-            width = rng.uniform(25.0, 90.0)
-            values += rng.uniform(0.25, 1.0) * _gaussian(wl, center, width)
-        values *= rng.uniform(0.6, 1.0) / values.max()
-        illuminants.append(SpectralCurve(grid, values, Kind.ILLUMINANT))
-
-    reflectances = []
-    for _ in range(n_patches):
-        base = _smooth(rng.uniform(0.0, 1.0, size=grid.count))
-        span = base.max() - base.min()
-        base = (base - base.min()) / span if span > 0 else np.full(grid.count, 0.5)
-        # Log-uniform brightness down to very dark patches so the exposure
-        # stacks exercise the whole code range.
-        level = np.exp(rng.uniform(np.log(0.004), np.log(1.0)))
-        reflectances.append(
-            SpectralCurve(grid, level * (0.25 + 0.75 * base), Kind.REFLECTANCE)
-        )
-
-    codes = render(truth, radiance_rows(illuminants, reflectances), exposures)
-    stacks = [
-        ExposureStack(exposures, samples, truth.bit_depth, truth.sat_lo, truth.sat_hi)
-        for samples in codes.reshape(n_illuminants, n_patches, exposures.size, 3)
-    ]
-    return CalibrationInput(grid, tuple(illuminants), tuple(reflectances), tuple(stacks))

@@ -234,69 +234,3 @@ def cross_validate(
     sigma = omegas.std(axis=0)
     return CrossValidationReport(mu, sigma, fold_rmse, folds, seed)
 
-
-def _gaussian(wl: np.ndarray, center: float, width: float) -> np.ndarray:
-    return np.exp(-0.5 * ((wl - center) / width) ** 2)
-
-
-# Channel bump families for the synthetic databases: (center_nm, spread_nm).
-_CHANNEL_CENTERS = ((605.0, 18.0), (540.0, 15.0), (465.0, 15.0))
-
-
-def synthetic_database(
-    grid: SpectralGrid, n_entries: int = 24, seed: int = 7
-) -> SensitivityDatabase:
-    """Stand-in for a measured camera database: Gaussian-mixture channel curves.
-
-    Each entry gets a main bump per channel (center and width jittered
-    around plausible camera values) plus an occasional side lobe. A real
-    database in the documented CSV format drops in via ``io.load_database``.
-    """
-    if n_entries < 2:
-        raise ValueError("need at least 2 entries")
-    rng = np.random.default_rng(seed)
-    wl = grid.wavelengths
-    entries = []
-    for idx in range(n_entries):
-        cols = np.empty((grid.count, 3))
-        for k, (center, spread) in enumerate(_CHANNEL_CENTERS):
-            c = rng.normal(center, spread)
-            width = rng.uniform(22.0, 42.0)
-            amp = rng.uniform(0.6, 1.0)
-            curve = amp * _gaussian(wl, c, width)
-            if rng.uniform() < 0.5:
-                side = rng.uniform(0.05, 0.2) * amp
-                shift = rng.choice([-1.0, 1.0]) * rng.uniform(35.0, 70.0)
-                curve = curve + side * _gaussian(wl, c + shift, rng.uniform(15.0, 30.0))
-            cols[:, k] = curve
-        entries.append((f"synthcam-{idx:03d}", SensitivityMatrix(grid, cols)))
-    return SensitivityDatabase(tuple(entries), grid)
-
-
-def spanning_database(
-    grid: SpectralGrid, d: int = 6, n_entries: int = 24, seed: int = 11
-) -> tuple[SensitivityDatabase, np.ndarray]:
-    """Database of known rank d per channel, plus its (3, d, M) parent curves.
-
-    Entries are strictly positive combinations of d Gaussian parents, so a
-    basis built with dimension d spans the parents exactly. Tests use this
-    to place a ground-truth camera inside the basis span.
-    """
-    if n_entries < max(2, d):
-        raise ValueError(f"need at least max(2, d)={max(2, d)} entries")
-    rng = np.random.default_rng(seed)
-    wl = grid.wavelengths
-    span = grid.end_nm - grid.start_nm
-    parents = np.empty((3, d, grid.count))
-    for k, (center, _) in enumerate(_CHANNEL_CENTERS):
-        offsets = np.linspace(-0.22 * span, 0.22 * span, d)
-        for j, off in enumerate(offsets):
-            parents[k, j] = _gaussian(wl, center + off, rng.uniform(20.0, 34.0))
-    entries = []
-    for idx in range(n_entries):
-        cols = np.empty((grid.count, 3))
-        for k in range(3):
-            mix = rng.uniform(0.05, 1.0, size=d)
-            cols[:, k] = mix @ parents[k]
-        entries.append((f"spancam-{idx:03d}", SensitivityMatrix(grid, cols)))
-    return SensitivityDatabase(tuple(entries), grid), parents

@@ -33,8 +33,7 @@ from camspec import (
 )
 from camspec import Kind, SpectralCurve, apply_response
 from camspec.gamut import apply_gamut_map_batch
-from camspec.pipeline import camera_in_basis_span
-from camspec.sensitivity import spanning_database
+from camspec.synthetic import camera_in_basis_span, spanning_database
 from support import (
     cluster_target_codes,
     eq1_pixel_oracle,
@@ -305,7 +304,7 @@ def test_criterion_10_cli_determinism(tmp_path):
             writer.writerow([repr(float(v)) for v in row])
 
     from camspec import io
-    from camspec.sensitivity import spanning_database as _sdb
+    from camspec.synthetic import spanning_database as _sdb
 
     db, parents = _sdb(GRID, d=6)
     db_manifest = io.save_database(tmp_path / "db", db)

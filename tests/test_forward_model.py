@@ -23,8 +23,7 @@ from camspec import (
     synthetic_gamut_warp,
 )
 from camspec.errors import GridMismatchError, SaturatedCodeError
-from camspec.pipeline import camera_in_basis_span
-from camspec.sensitivity import spanning_database
+from camspec.synthetic import camera_in_basis_span, spanning_database
 from support import eq1_pixel_oracle, quantize_oracle
 
 

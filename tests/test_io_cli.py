@@ -520,7 +520,7 @@ class TestCli:
         assert "valid rows" in err["error"]["message"]
 
     def test_fit_sensitivity_happy_path(self, tmp_path):
-        from camspec.sensitivity import spanning_database
+        from camspec.synthetic import spanning_database
         from support import smooth_spectra
 
         db, parents = spanning_database(GRID, d=6)
@@ -800,6 +800,40 @@ def _unknown_config_key(data, tmp):
         "pipeline", "--config", str(cfg), "--dataset", str(data / "dataset.json")]
 
 
+def _camera_with(edit, key):
+    """A wrongly typed camera value: ``edit`` changes the document, ``key`` is its path."""
+    def build(data, tmp):
+        cam = _edited(data / "truth_camera.json", tmp / "cam.json", edit)
+        return cam, f"key '{key}' must be", ["evaluate", "--camera", str(cam),
+                                             "--dataset", str(data / "dataset.json")]
+    return build
+
+
+def _config_with(key, value):
+    def build(data, tmp):
+        cfg = tmp / "cfg.json"
+        io.save_config(cfg, PipelineConfig())
+        _edited(cfg, cfg, lambda d: d.update({key: value}))
+        return cfg, f"key '{key}' must be", ["pipeline", "--config", str(cfg),
+                                             "--dataset", str(data / "dataset.json")]
+    return build
+
+
+def _dataset_stack_name_number(data, tmp):
+    ds = _edited(data / "dataset.json", data / "numbered.json", lambda d: d.update(stacks=[0]))
+    return ds, "key 'stacks' must be an array of strings, got an array", [
+        "evaluate", "--camera", str(data / "truth_camera.json"), "--dataset", str(ds)]
+
+
+def _scene_exposures_strings(data, tmp):
+    scene = tmp / "scene.json"
+    scene.write_text(json.dumps({"schema": 1, "illuminant": str(data / "illuminants.csv"),
+                                 "reflectances": str(data / "reflectances.csv"),
+                                 "exposures": ["0.5"]}))
+    return scene, "key 'exposures' must be an array of numbers", [
+        "simulate", "--camera", str(data / "truth_camera.json"), "--scene", str(scene)]
+
+
 def _scene(data, tmp):
     scene = tmp / "scene.json"
     scene.write_text(json.dumps({"schema": 1, "illuminant": str(data / "illuminants.csv"),
@@ -847,9 +881,21 @@ class TestJsonDocuments:
         "build",
         [_camera_without_omega, _camera_grid_without_count, _dataset_without_stacks,
          _database_entry_without_file, _scene_without_reflectances, _list_document,
-         _unknown_config_key],
+         _unknown_config_key,
+         _camera_with(lambda d: d.update(grid=[400, 10, 33]), "grid"),
+         _camera_with(lambda d: d.update(bit_depth="eight"), "bit_depth"),
+         _camera_with(lambda d: d["grid"].update(count=True), "grid.count"),
+         _camera_with(lambda d: d["response"]["ln_e"][1].__setitem__(5, None), "response.ln_e"),
+         _camera_with(lambda d: d.update(gamut=[]), "gamut"),
+         _config_with("alpha", "0.6"), _config_with("basis_dim", 2.5),
+         _config_with("folds", True), _config_with("rbf_kernel_width", "wide"),
+         _dataset_stack_name_number, _scene_exposures_strings],
         ids=["camera-omega", "camera-grid-count", "dataset-stacks", "database-entry-file",
-             "scene-reflectances", "list-document", "config-unknown-key"],
+             "scene-reflectances", "list-document", "config-unknown-key",
+             "camera-grid-list", "camera-bit-depth-string", "camera-grid-count-bool",
+             "camera-ln-e-null", "camera-gamut-list", "config-alpha-string",
+             "config-basis-dim-float", "config-folds-bool", "config-kernel-width-string",
+             "dataset-stack-name-number", "scene-exposures-strings"],
     )
     def test_malformed_document_exits_3_naming_file_and_key(
         self, synth_dir, tmp_path, capsys, build

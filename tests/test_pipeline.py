@@ -19,8 +19,7 @@ from camspec import (
 )
 from camspec.errors import GridMismatchError, PipelineError
 from camspec.gamut import apply_gamut_map_batch
-from camspec.pipeline import camera_in_basis_span
-from camspec.sensitivity import spanning_database
+from camspec.synthetic import camera_in_basis_span, spanning_database
 from camspec.spectral import spectral_product
 from support import eq1_pixel_oracle, gauge_aligned_code_error
 
@@ -212,6 +211,21 @@ class TestRunTwoStageErrors:
             run_two_stage(broken, PipelineConfig(), basis=basis)
 
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha", "0.6",
+         "stage 1 (response): '<' not supported between instances of 'float' and 'str'"),
+        ("basis_dim", 100, "stage 1 (sensitivity): basis dimension must be in [1, 24], got 100"),
+        ("rbf_ridge", -1.0, "stage 2 (gamut map): ridge must be nonnegative, got -1.0"),
+    ])
+    def test_failure_inside_a_stage_names_the_stage(self, field, value, message):
+        truth = synthetic_camera(GRID)
+        data = generate_synthetic_dataset(truth, 6, 16, [0.5, 1.0, 2.0], seed=1)
+        with pytest.raises(PipelineError) as info:
+            run_two_stage(data, PipelineConfig(**{field: value}))
+        assert str(info.value) == message
+        assert info.value.__cause__ is not None
+
+
 class TestEvaluate:
     def test_all_dark_scene_reported_as_saturated_only(self):
         truth = synthetic_camera(GRID)
@@ -268,6 +282,16 @@ class TestCalibrationInput:
         stack = ExposureStack(np.array([1.0]), np.full((1, 1, 3), 100))
         with pytest.raises(ValueError, match="reflectance"):
             CalibrationInput(GRID, (light,), (light,), (stack,))
+
+    @pytest.mark.parametrize("coding", [(8, 20, 200), (10, None, None)])
+    def test_rejects_stacks_that_disagree_on_bit_depth_or_thresholds(self, coding):
+        # io.save_dataset writes one bit depth and one pair of thresholds for all stacks.
+        light = SpectralCurve(GRID, np.ones(GRID.count), Kind.ILLUMINANT)
+        surface = SpectralCurve(GRID, np.full(GRID.count, 0.5), Kind.REFLECTANCE)
+        first = ExposureStack(np.array([1.0]), np.full((1, 1, 3), 100))
+        other = ExposureStack(np.array([1.0]), np.full((1, 1, 3), 100), *coding)
+        with pytest.raises(ValueError, match="stack 1 has"):
+            CalibrationInput(GRID, (light, light), (surface,), (first, other))
 
     def test_rejects_stack_count_mismatch(self):
         light = SpectralCurve(GRID, np.ones(GRID.count), Kind.ILLUMINANT)

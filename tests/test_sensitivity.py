@@ -13,7 +13,7 @@ from camspec import (
     synthetic_database,
 )
 from camspec.errors import RankDeficiencyError, UnderdeterminedError
-from camspec.sensitivity import spanning_database
+from camspec.synthetic import spanning_database
 from support import smooth_spectra
 
 GRID = DEFAULT_GRID
