@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,16 +29,11 @@ from .errors import (
     SchemaVersionError,
     UnderdeterminedError,
 )
-from .gamut import (
-    GamutFitConfig, apply_gamut_map_batch, chromaticity, fit_gamut_map, partition_gamut,
-)
-from .pipeline import PipelineConfig, evaluate, run_two_stage
-from .response import ExposureStack, ResponseFitConfig, check_exposure_reciprocity, estimate_response
-from .sensitivity import build_basis, cross_validate, estimate_constrained
-from .spectral import SpectralGrid, radiance_rows
-from .synthetic import (
-    generate_synthetic_dataset, synthetic_camera, synthetic_database, synthetic_gamut_warp,
-)
+from .gamut import apply_gamut_map_batch, chromaticity, fit_gamut_map, partition_gamut
+from .pipeline import PipelineConfig, evaluate, fit_sensitivity, run_two_stage
+from .response import ExposureStack, check_exposure_reciprocity, estimate_response
+from .spectral import DEFAULT_GRID, SpectralGrid, radiance_rows
+from .synthetic import generate_synthetic_dataset, synthetic_camera, synthetic_gamut_warp
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -56,8 +51,7 @@ exit codes:
   4  validation, precondition, or fit failure
   5  schema version mismatch
 
-The CAMSPEC_CONFIG environment variable supplies --config to synth and
-pipeline when the flag is omitted.
+The CAMSPEC_CONFIG environment variable supplies --config when the flag is omitted.
 """
 
 
@@ -84,7 +78,8 @@ def _exit_code_for(exc: Exception) -> int:
 
 
 class _Run:
-    """Collects input digests and writes the manifest when the command is done."""
+    """Collects input digests and the effective config, and writes the manifest
+    when the command is done."""
 
     def __init__(self, args: argparse.Namespace):
         self.command = args.command
@@ -92,7 +87,8 @@ class _Run:
         self.out = Path(args.out)
         self.out.mkdir(parents=True, exist_ok=True)
         self.inputs: dict[str, str] = {}
-        self.seed = getattr(args, "seed", None)
+        self.seed: int | None = None
+        self.effective_config: dict | None = None
         self.started = io.utc_now()
 
     def track(self, path) -> Path:
@@ -100,9 +96,10 @@ class _Run:
         self.inputs[str(path)] = io.sha256_of(path)
         return path
 
-    def finish(self, extra_config: dict | None) -> None:
+    def finish(self) -> None:
         snapshot = {k: v for k, v in vars(self.args).items() if k not in ("func", "command")}
-        snapshot.update(extra_config or {})
+        if self.effective_config is not None:
+            snapshot["effective_config"] = self.effective_config
         io.write_manifest(
             self.out,
             io.RunManifest(
@@ -117,35 +114,40 @@ class _Run:
         )
 
 
-def _load_pipeline_config(args, run: _Run) -> PipelineConfig:
-    """``--config``, else ``$CAMSPEC_CONFIG`` (tracked as an input), else the defaults."""
+def _load_pipeline_config(args, run: _Run) -> tuple[PipelineConfig, SpectralGrid | None]:
+    """``--config``, else ``$CAMSPEC_CONFIG`` (tracked as an input), else the defaults,
+    with ``--seed`` over the config's seed: (config, the config's grid or None).
+    The config is recorded in the manifest as ``effective_config``."""
     path = args.config or os.environ.get("CAMSPEC_CONFIG")
-    cfg = io.load_config(run.track(path))[0] if path else PipelineConfig()
-    if args.seed is not None:
-        cfg = PipelineConfig(**{**cfg.__dict__, "seed": args.seed})
-    return cfg
+    cfg, grid = io.load_config(run.track(path)) if path else (PipelineConfig(), None)
+    if getattr(args, "seed", None) is not None:
+        cfg = replace(cfg, seed=args.seed)
+    if "seed" in vars(args):  # a command that draws random numbers records its seed
+        run.seed = cfg.seed
+    run.effective_config = asdict(cfg)
+    return cfg, grid
 
 
-def _cmd_synth(args, run: _Run) -> dict | None:
-    cfg = _load_pipeline_config(args, run)
-    grid = SpectralGrid(args.grid_start, args.grid_step, args.grid_count)
-    run.seed = seed = cfg.seed
+def _cmd_synth(args, run: _Run) -> None:
+    cfg, grid = _load_pipeline_config(args, run)
+    grid = grid or DEFAULT_GRID
+    run.effective_config["grid"] = io.grid_to_dict(grid)
     truth = synthetic_camera(
         grid, gamma=args.gamma, peak=args.peak, sat_lo=cfg.sat_lo, sat_hi=cfg.sat_hi
     )
     if args.warp_strength > 0:
         scale = float(0.5 * truth.omega.channels.sum(axis=0).mean())
-        warp = synthetic_gamut_warp(scale=scale, strength=args.warp_strength, seed=seed)
+        warp = synthetic_gamut_warp(scale=scale, strength=args.warp_strength, seed=cfg.seed)
         truth = replace(truth, gamut=warp)
     exposures = [float(tok) for tok in args.exposures.split(",")]
     data = generate_synthetic_dataset(
-        truth, args.n_illuminants, args.n_patches, exposures, seed=seed
+        truth, args.n_illuminants, args.n_patches, exposures, seed=cfg.seed
     )
     io.save_camera(run.out / "truth_camera.json", truth)
     io.save_dataset(run.out, data)
 
 
-def _cmd_simulate(args, run: _Run) -> dict | None:
+def _cmd_simulate(args, run: _Run) -> None:
     cam = io.load_camera(run.track(args.camera))
     light, surfaces, exposures = io.load_scene(run.track(args.scene), cam.grid)
     samples = render(cam, radiance_rows([light], surfaces), exposures)
@@ -153,11 +155,10 @@ def _cmd_simulate(args, run: _Run) -> dict | None:
     io.save_stack_csv(run.out / "pixels.csv", stack)
 
 
-def _cmd_fit_response(args, run: _Run) -> dict | None:
-    stack = io.load_stack_csv(
-        run.track(args.stack), bit_depth=args.bit_depth, sat_lo=args.sat_lo, sat_hi=args.sat_hi
-    )
-    curve = estimate_response(stack, ResponseFitConfig(smoothness_lambda=args.smoothness))
+def _cmd_fit_response(args, run: _Run) -> None:
+    cfg, _ = _load_pipeline_config(args, run)
+    stack = io.load_stack_csv(run.track(args.stack), args.bit_depth, cfg.sat_lo, cfg.sat_hi)
+    curve = estimate_response(stack, smoothness_lambda=cfg.smoothness_lambda)
     reciprocity = check_exposure_reciprocity(stack, curve)
     io.write_json(
         run.out / "response.json", {"bit_depth": curve.bit_depth, "ln_e": curve.ln_e.tolist()}
@@ -172,21 +173,16 @@ def _cmd_fit_response(args, run: _Run) -> dict | None:
     )
 
 
-def _cmd_fit_sensitivity(args, run: _Run) -> dict | None:
+def _cmd_fit_sensitivity(args, run: _Run) -> None:
+    cfg, _ = _load_pipeline_config(args, run)
     mset = io.load_measurement_set(run.track(args.radiance), run.track(args.measurements))
-    seed = args.seed if args.seed is not None else 0
-    if args.database:
-        db = io.load_database(run.track(args.database), mset.grid)
-    else:
-        db = synthetic_database(mset.grid, n_entries=args.database_entries, seed=seed)
-    basis = build_basis(db, args.d)
-    fit = estimate_constrained(mset, basis)
-    cv = cross_validate(mset, basis, folds=args.folds, seed=seed)
+    db = io.load_database(run.track(args.database), mset.grid) if args.database else None
+    basis, fit, cv = fit_sensitivity(mset, cfg, database=db)
     io.save_sensitivity_csv(run.out / "sensitivity.csv", fit.omega_hat)
     io.write_json(
         run.out / "fit.json",
         {
-            "basis_dim": args.d,
+            "basis_dim": cfg.basis_dim,
             "captured_variance": basis.captured_variance.tolist(),
             "coefficients": fit.coefficients.tolist(),
             "residual_rms": fit.residual_rms.tolist(),
@@ -201,12 +197,16 @@ def _cmd_fit_sensitivity(args, run: _Run) -> dict | None:
     )
 
 
-def _cmd_fit_gamut(args, run: _Run) -> dict | None:
+def _cmd_fit_gamut(args, run: _Run) -> None:
+    cfg, _ = _load_pipeline_config(args, run)
     s_samples, e_targets = io.load_gamut_samples(run.track(args.samples))
-    cfg = GamutFitConfig(
-        max_centers=args.max_centers, ridge=args.ridge, kernel_width=args.kernel_width
+    result = fit_gamut_map(
+        s_samples,
+        e_targets,
+        max_centers=cfg.rbf_max_centers,
+        ridge=cfg.rbf_ridge,
+        kernel_width=cfg.rbf_kernel_width,
     )
-    result = fit_gamut_map(s_samples, e_targets, cfg)
     io.write_json(
         run.out / "gamut.json",
         {
@@ -217,8 +217,8 @@ def _cmd_fit_gamut(args, run: _Run) -> dict | None:
     )
 
 
-def _cmd_pipeline(args, run: _Run) -> dict | None:
-    cfg = _load_pipeline_config(args, run)
+def _cmd_pipeline(args, run: _Run) -> None:
+    cfg, _ = _load_pipeline_config(args, run)
     data = io.load_dataset(run.track(args.dataset))
     database = io.load_database(run.track(args.database), data.grid) if args.database else None
     est = run_two_stage(data, cfg, database=database)
@@ -242,10 +242,9 @@ def _cmd_pipeline(args, run: _Run) -> dict | None:
             },
         },
     )
-    return {"effective_config": cfg.__dict__}
 
 
-def _cmd_evaluate(args, run: _Run) -> dict | None:
+def _cmd_evaluate(args, run: _Run) -> None:
     cam = io.load_camera(run.track(args.camera))
     data = io.load_dataset(run.track(args.dataset))
     disjoint = {"yes": True, "no": False, "unknown": None}[args.disjoint]
@@ -253,7 +252,8 @@ def _cmd_evaluate(args, run: _Run) -> dict | None:
     io.save_evaluation_report(run.out, report)
 
 
-def _cmd_export_chromaticity(args, run: _Run) -> dict | None:
+def _cmd_export_chromaticity(args, run: _Run) -> None:
+    cfg, _ = _load_pipeline_config(args, run)
     cam = io.load_camera(run.track(args.camera))
     data = io.load_dataset(run.track(args.dataset))
     # Row by row: S is written to chromaticity.csv, and a plain (N, M) @ (M, 3)
@@ -263,7 +263,7 @@ def _cmd_export_chromaticity(args, run: _Run) -> dict | None:
     s_all = np.repeat(s, valid_count, axis=0)
     if not s_all.size:
         raise PipelineError("no unsaturated samples to project")
-    part = partition_gamut(s_all, args.alpha)
+    part = partition_gamut(s_all, cfg.alpha)
     regions = np.array(["outer"] * len(s_all), dtype=object)
     regions[part.inner_indices] = "inner"
     mapped = apply_gamut_map_batch(cam.gamut, s_all) if cam.gamut is not None else s_all
@@ -284,16 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", required=True, help="output directory for artifacts")
-    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
-    seeded.add_argument("--seed", type=int, default=None, help="seed override")
-    configured = argparse.ArgumentParser(add_help=False, parents=[seeded])
-    configured.add_argument("--config", default=None, help="pipeline config JSON")
+    configured = argparse.ArgumentParser(add_help=False, parents=[common])
+    configured.add_argument("--config", default=None,
+                            help="pipeline config JSON (default: $CAMSPEC_CONFIG)")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[configured])
+    seeded.add_argument("--seed", type=int, default=None, help="overrides the config's seed")
 
-    p = sub.add_parser("synth", parents=[configured],
-                       help="generate a synthetic truth camera and dataset")
-    p.add_argument("--grid-start", type=float, default=400.0)
-    p.add_argument("--grid-step", type=float, default=10.0)
-    p.add_argument("--grid-count", type=int, default=33)
+    p = sub.add_parser("synth", parents=[seeded],
+                       help="generate a synthetic truth camera and dataset on the config's grid")
     p.add_argument("--n-illuminants", type=int, default=8)
     p.add_argument("--n-patches", type=int, default=24)
     p.add_argument("--exposures", default="0.5,1.0,2.0", help="comma-separated seconds")
@@ -309,31 +307,24 @@ def build_parser() -> argparse.ArgumentParser:
                         "column of the illuminant CSV is used")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("fit-response", parents=[common], help="recover the response from a stack CSV")
+    p = sub.add_parser("fit-response", parents=[configured],
+                       help="recover the response from a stack CSV")
     p.add_argument("--stack", required=True)
     p.add_argument("--bit-depth", type=int, default=8)
-    p.add_argument("--sat-lo", type=int, default=None, help="default: 10 scaled to the bit depth")
-    p.add_argument("--sat-hi", type=int, default=None, help="default: 230 scaled to the bit depth")
-    p.add_argument("--smoothness", type=float, default=50.0)
     p.set_defaults(func=_cmd_fit_response)
 
     p = sub.add_parser("fit-sensitivity", parents=[seeded], help="constrained sensitivity fit")
     p.add_argument("--radiance", required=True, help="radiance spectra CSV (one column per sample)")
     p.add_argument("--measurements", required=True, help="linearized intensity CSV")
     p.add_argument("--database", default=None, help="database manifest JSON (default: synthetic)")
-    p.add_argument("--database-entries", type=int, default=24)
-    p.add_argument("--d", type=int, default=6, help="basis dimension")
-    p.add_argument("--folds", type=int, default=10)
     p.set_defaults(func=_cmd_fit_sensitivity)
 
-    p = sub.add_parser("fit-gamut", parents=[common], help="fit the RBF gamut map from S/E pairs")
+    p = sub.add_parser("fit-gamut", parents=[configured],
+                       help="fit the RBF gamut map from S/E pairs")
     p.add_argument("--samples", required=True, help="CSV with S_r,S_g,S_b,E_r,E_g,E_b")
-    p.add_argument("--max-centers", type=int, default=125)
-    p.add_argument("--ridge", type=float, default=1e-8)
-    p.add_argument("--kernel-width", type=float, default=None)
     p.set_defaults(func=_cmd_fit_gamut)
 
-    p = sub.add_parser("pipeline", parents=[configured], help="two-stage estimation on a dataset")
+    p = sub.add_parser("pipeline", parents=[seeded], help="two-stage estimation on a dataset")
     p.add_argument("--dataset", required=True, help="dataset manifest JSON")
     p.add_argument("--database", default=None, help="database manifest JSON (default: synthetic)")
     p.set_defaults(func=_cmd_pipeline)
@@ -345,12 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="whether the dataset is disjoint from training (recorded, not checked)")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("export-chromaticity", parents=[common],
+    p = sub.add_parser("export-chromaticity", parents=[configured],
                        help="x,y,region,magnitude table for external plotting")
     p.add_argument("--camera", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--alpha", type=float, default=0.6)
     p.set_defaults(func=_cmd_export_chromaticity)
+    for p in sub.choices.values():  # full flag names only: a removed flag matches no prefix
+        p.allow_abbrev = False
     return parser
 
 
@@ -362,7 +354,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         run = _Run(args)
-        run.finish(args.func(args, run))
+        args.func(args, run)
+        run.finish()
     except Exception as exc:  # noqa: BLE001 - boundary: everything becomes error JSON
         code = _exit_code_for(exc)
         print(

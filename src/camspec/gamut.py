@@ -147,13 +147,6 @@ def apply_gamut_map_batch(gmap: RbfGamutMap, pts: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GamutFitConfig:
-    max_centers: int = 125
-    ridge: float = 1e-8  # weight penalty: minimize |Phi w - r|^2 + ridge * |w|^2
-    kernel_width: float | None = None  # None: median pairwise center distance
-
-
-@dataclass(frozen=True)
 class GamutFitResult:
     map: RbfGamutMap
     training_rms: np.ndarray  # (3,)
@@ -184,18 +177,26 @@ def _median_pairwise(pts: np.ndarray) -> float:
     return float(np.sqrt(np.median(upper)))
 
 
-def fit_gamut_map(s_samples, e_targets, cfg: GamutFitConfig | None = None) -> GamutFitResult:
+def fit_gamut_map(
+    s_samples,
+    e_targets,
+    *,
+    max_centers: int = 125,
+    ridge: float = 1e-8,
+    kernel_width: float | None = None,
+) -> GamutFitResult:
     """Fit the gamut map from paired (raw tristimulus, linear target) samples.
 
     The affine part is solved first so the RBF weights only model what an
-    affine map cannot. The weights minimize |Phi w - r|^2 + ridge |w|^2 on
+    affine map cannot. Up to ``max_centers`` centers are picked by
+    farthest-point sampling; ``kernel_width`` None means the median pairwise
+    center distance. The weights minimize |Phi w - r|^2 + ridge |w|^2 on
     the affine residuals r at every center count, by least squares on
     [Phi; sqrt(ridge) I] w = [r; 0] (Phi^T Phi would square Phi's condition
     number): the ridge penalizes the weights, not the kernel matrix. With
     ridge 0 and every sample kept as a center the solve is an exact
     interpolation.
     """
-    cfg = cfg or GamutFitConfig()
     s = np.asarray(s_samples, dtype=float)
     e = np.asarray(e_targets, dtype=float)
     if s.ndim != 2 or s.shape[1] != 3 or s.shape != e.shape:
@@ -214,16 +215,18 @@ def fit_gamut_map(s_samples, e_targets, cfg: GamutFitConfig | None = None) -> Ga
     affine_t, *_ = np.linalg.lstsq(design, e, rcond=None)  # (4, 3)
     resid = e - design @ affine_t
 
-    k = min(cfg.max_centers, n)
+    if not max_centers >= 1:
+        raise ValueError(f"max_centers must be at least 1, got {max_centers}")
+    k = min(max_centers, n)
     centers = _farthest_point_centers(s, k)
-    width = cfg.kernel_width if cfg.kernel_width is not None else _median_pairwise(centers)
+    width = kernel_width if kernel_width is not None else _median_pairwise(centers)
     if not width > 0:
         raise ValueError(f"kernel width must be positive, got {width}")
-    if not cfg.ridge >= 0:
-        raise ValueError(f"ridge must be nonnegative, got {cfg.ridge}")
+    if not ridge >= 0:
+        raise ValueError(f"ridge must be nonnegative, got {ridge}")
 
     phi = _kernel_matrix(s, centers, width)
-    stacked = np.vstack([phi, np.sqrt(cfg.ridge) * np.eye(k)])
+    stacked = np.vstack([phi, np.sqrt(ridge) * np.eye(k)])
     rhs = np.vstack([resid, np.zeros((k, 3))])
     try:
         weights, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
@@ -234,7 +237,7 @@ def fit_gamut_map(s_samples, e_targets, cfg: GamutFitConfig | None = None) -> Ga
         centers=centers,
         weights=weights,
         kernel_width=float(width),
-        ridge=float(cfg.ridge),
+        ridge=float(ridge),
         affine=affine_t.T,
     )
     err = apply_gamut_map_batch(gmap, s) - e

@@ -78,19 +78,24 @@ _MATRIX = list[list[float]]
 
 def _is(value, kind) -> bool:
     """Whether a decoded JSON value is a ``kind``: float (any number), int, str, dict,
-    ``list[kind]`` or a union such as ``int | None``."""
+    ``list[kind]`` or a union such as ``int | None``. The rows of a ``list[list[...]]``
+    must have one length."""
     if kind in _ACCEPTS:
         return type(value) in _ACCEPTS[kind]
     if kind is dict:
         return isinstance(value, dict)
     if typing.get_origin(kind) is list:
-        return isinstance(value, list) and all(_is(v, typing.get_args(kind)[0]) for v in value)
+        item = typing.get_args(kind)[0]
+        return isinstance(value, list) and all(_is(v, item) for v in value) and (
+            typing.get_origin(item) is not list or len({len(v) for v in value}) <= 1)
     return any(_is(value, k) for k in typing.get_args(kind))
 
 
 def _name(kind, plural=False) -> str:
     if typing.get_origin(kind) is list:
-        return f"{'arrays' if plural else 'an array'} of {_name(typing.get_args(kind)[0], True)}"
+        item = typing.get_args(kind)[0]
+        rows = "equal-length " if typing.get_origin(item) is list else ""
+        return f"{'arrays' if plural else 'an array'} of {rows}{_name(item, True)}"
     if kind in _NAMES:
         return _NAMES[kind][plural]
     return " or ".join(_name(k, plural) for k in typing.get_args(kind))
@@ -475,6 +480,9 @@ def save_camera(path, cam: CameraModel) -> None:
 
 def load_camera(path) -> CameraModel:
     doc = read_json(path)
+    if (convention := _typed(doc, "exposure_applied", str)) != EXPOSURE_CONVENTION:
+        raise ParseError(f"{path}: key 'exposure_applied' must be "
+                         f"{json.dumps(EXPOSURE_CONVENTION)}, got {json.dumps(convention)}")
     grid = grid_from_dict(_typed(doc, "grid", dict))
     bit_depth = _typed(doc, "bit_depth", int)
     ln_e = _typed(_typed(doc, "response", dict), "ln_e", _MATRIX)

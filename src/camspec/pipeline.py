@@ -19,19 +19,14 @@ import numpy as np
 
 from .camera import CameraModel, ResponseCurve, render
 from .errors import GridMismatchError, PipelineError
-from .gamut import GamutFitConfig, fit_gamut_map, partition_gamut
-from .response import (
-    ExposureStack,
-    ReciprocityReport,
-    ResponseFitConfig,
-    check_exposure_reciprocity,
-    estimate_response,
-)
+from .gamut import fit_gamut_map, partition_gamut
+from .response import ExposureStack, ReciprocityReport, check_exposure_reciprocity, estimate_response
 from .sensitivity import (
     CrossValidationReport,
     MeasurementSet,
     SensitivityBasis,
     SensitivityDatabase,
+    SensitivityFit,
     build_basis,
     cross_validate,
     estimate_constrained,
@@ -168,6 +163,22 @@ def _inner_mask(
     return mask
 
 
+def fit_sensitivity(
+    mset: MeasurementSet,
+    cfg: PipelineConfig,
+    database: SensitivityDatabase | None = None,
+    basis: SensitivityBasis | None = None,
+) -> tuple[SensitivityBasis, SensitivityFit, CrossValidationReport]:
+    """The sensitivity step: a basis (``basis``, else built from ``database``, else
+    from the stand-in synthetic database), the constrained fit and its cross-validation."""
+    if basis is None:
+        from .synthetic import synthetic_database  # late: synthetic imports this module
+        db = database or synthetic_database(mset.grid, cfg.database_entries, cfg.seed)
+        basis = build_basis(db, cfg.basis_dim)
+    fit = estimate_constrained(mset, basis)
+    return basis, fit, cross_validate(mset, basis, folds=cfg.folds, seed=cfg.seed)
+
+
 @contextmanager
 def _stage(label: str):
     """Re-raise a failure inside one estimation stage as PipelineError naming the stage."""
@@ -202,12 +213,13 @@ def run_two_stage(
         raise PipelineError("stage 1: every sample is saturated; nothing to fit")
 
     g_hat = ResponseCurve.from_gamma(2.2, merged.bit_depth)  # provisional
-    resp_cfg = ResponseFitConfig(smoothness_lambda=cfg.smoothness_lambda)
 
     with _stage("1 (response)"):
         for _ in range(2):  # partition under the current curve, then refit it there
             mask = _inner_mask(merged, g_hat, vq, vi, cfg)
-            g_hat = estimate_response(merged, resp_cfg, sample_mask=mask)
+            g_hat = estimate_response(
+                merged, sample_mask=mask, smoothness_lambda=cfg.smoothness_lambda
+            )
 
     with _stage("1 (sensitivity)"):
         iq, ii = np.nonzero(mask)
@@ -217,12 +229,7 @@ def run_two_stage(
             _linearized(merged, g_hat, iq, ii),
             np.ones(iq.size, dtype=bool),
         )
-        if basis is None:
-            from .synthetic import synthetic_database  # late: synthetic imports this module
-            db = database or synthetic_database(inp.grid, cfg.database_entries, cfg.seed)
-            basis = build_basis(db, cfg.basis_dim)
-        fit = estimate_constrained(mset, basis)
-        cv = cross_validate(mset, basis, folds=cfg.folds, seed=cfg.seed)
+        _, fit, cv = fit_sensitivity(mset, cfg, database, basis)
 
     with _stage("2 (gamut map)"):
         s_pred = p_rows[vq] @ fit.omega_hat.channels
@@ -230,7 +237,9 @@ def run_two_stage(
         gfit = fit_gamut_map(
             s_pred,
             e_targets,
-            GamutFitConfig(cfg.rbf_max_centers, cfg.rbf_ridge, cfg.rbf_kernel_width),
+            max_centers=cfg.rbf_max_centers,
+            ridge=cfg.rbf_ridge,
+            kernel_width=cfg.rbf_kernel_width,
         )
 
     camera = CameraModel(

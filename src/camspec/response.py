@@ -79,23 +79,6 @@ class ExposureStack:
         return out
 
 
-@dataclass(frozen=True)
-class ResponseFitConfig:
-    """Knobs of the log-domain solve.
-
-    ``smoothness_lambda`` scales the curvature penalty; the anchor is the
-    mid code (ln g^-1 := 0 there). The data weighting is
-    the hat function min(z, z_max - z) over the full code range; saturated
-    samples never enter the system in the first place.
-    """
-
-    smoothness_lambda: float = 50.0
-
-    def __post_init__(self) -> None:
-        if self.smoothness_lambda < 0:
-            raise ValueError("smoothness_lambda must be nonnegative")
-
-
 def hat_weights(n_codes: int) -> np.ndarray:
     """Triangular weight over the code range, zero at the extreme codes."""
     z = np.arange(n_codes, dtype=float)
@@ -104,8 +87,9 @@ def hat_weights(n_codes: int) -> np.ndarray:
 
 def estimate_response(
     stack: ExposureStack,
-    cfg: ResponseFitConfig | None = None,
+    *,
     sample_mask: np.ndarray | None = None,
+    smoothness_lambda: float = 50.0,
 ) -> ResponseCurve:
     """Recover the per-channel response from an exposure stack.
 
@@ -113,12 +97,15 @@ def estimate_response(
     subset of samples (the pipeline passes inner-gamut membership); it is
     intersected with the stack's own validity flags.
 
+    ``smoothness_lambda`` (nonnegative) scales the curvature penalty.
+
     Each patch's ln E, a w^2-weighted mean for fixed g, is eliminated in
     closed form, so the solve has 2^bits columns whatever the patch count.
     Smoothness rows fill codes the data never reaches by curvature-minimizing
     extension; the final table is projected to be strictly increasing.
     """
-    cfg = cfg or ResponseFitConfig()
+    if smoothness_lambda < 0:
+        raise ValueError("smoothness_lambda must be nonnegative")
     distinct = np.unique(stack.exposures)
     if distinct.size < 2:
         raise UnderdeterminedError(
@@ -164,7 +151,7 @@ def estimate_response(
         np.multiply(mean_g[pj], (-w / w2_sum)[:, None], out=a[:r0])
         a[np.arange(r0), codes] += w
         b[:r0] = w * (log_e[ei] - mean_t)
-        sw = cfg.smoothness_lambda * w_of[smooth_z]
+        sw = smoothness_lambda * w_of[smooth_z]
         rows = r0 + np.arange(smooth_z.size)
         a[rows, smooth_z - 1] = sw
         a[rows, smooth_z] = -2.0 * sw

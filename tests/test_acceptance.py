@@ -12,7 +12,6 @@ import pytest
 
 from camspec import (
     DEFAULT_GRID,
-    GamutFitConfig,
     MeasurementSet,
     PipelineConfig,
     Saturation,
@@ -212,7 +211,7 @@ def test_criterion_07_gamut_map_quality():
     rng = np.random.default_rng(707)
     s = rng.uniform(0.0, 1.0, size=(40, 3))
     e = s + 0.2 * np.sin(3.0 * s)
-    result = fit_gamut_map(s, e, GamutFitConfig(max_centers=40, ridge=0.0))
+    result = fit_gamut_map(s, e, max_centers=40, ridge=0.0)
     assert result.training_max_abs.max() / (e.max() - e.min()) < 1e-8
 
     axis = np.linspace(0.1, 1.0, 5)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from camspec import (
     DEFAULT_GRID,
-    GamutFitConfig,
     RbfGamutMap,
     apply_gamut_map,
     fit_gamut_map,
@@ -160,7 +159,7 @@ class TestFitGamutMap:
         rng = np.random.default_rng(6)
         s = rng.uniform(0.0, 1.0, size=(40, 3))
         e = s + 0.2 * np.sin(3.0 * s)
-        result = fit_gamut_map(s, e, GamutFitConfig(max_centers=40, ridge=0.0))
+        result = fit_gamut_map(s, e, max_centers=40, ridge=0.0)
         value_range = e.max() - e.min()
         assert result.training_max_abs.max() / value_range < 1e-8
 
@@ -168,7 +167,7 @@ class TestFitGamutMap:
         rng = np.random.default_rng(7)
         s = rng.uniform(0.0, 1.0, size=(25, 3))
         e = s**2 + 0.1
-        result = fit_gamut_map(s, e, GamutFitConfig(max_centers=25, ridge=0.0))
+        result = fit_gamut_map(s, e, max_centers=25, ridge=0.0)
         for idx in (0, 11, 24):
             np.testing.assert_allclose(apply_gamut_map(result.map, s[idx]), e[idx], atol=1e-8)
 
@@ -206,7 +205,7 @@ class TestFitGamutMap:
         s = radiance_rows(data.illuminants, data.reflectances) @ truth.omega.channels
         e = apply_gamut_map_batch(truth.gamut, s)
         ridge = 1e-8
-        gmap = fit_gamut_map(s, e, GamutFitConfig(max_centers, ridge)).map
+        gmap = fit_gamut_map(s, e, max_centers=max_centers, ridge=ridge).map
 
         # Ridge solution min |Phi w - r|^2 + ridge |w|^2 through the SVD of
         # Phi: w = V diag(sigma / (sigma^2 + ridge)) U^T r.
@@ -222,12 +221,18 @@ class TestFitGamutMap:
     def test_invalid_ridge_raises(self, ridge):
         s = np.random.default_rng(9).uniform(0, 1, size=(12, 3))
         with pytest.raises(ValueError, match="ridge must be nonnegative"):
-            fit_gamut_map(s, s + 0.1, GamutFitConfig(ridge=ridge))
+            fit_gamut_map(s, s + 0.1, ridge=ridge)
+
+    @pytest.mark.parametrize("max_centers", [0, -3])
+    def test_invalid_max_centers_raises(self, max_centers):
+        s = np.random.default_rng(10).uniform(0.1, 1.0, size=(20, 3))
+        with pytest.raises(ValueError, match="max_centers must be at least 1"):
+            fit_gamut_map(s, s + 0.1, max_centers=max_centers)
 
     def test_explicit_kernel_width_is_used(self):
         rng = np.random.default_rng(9)
         s = rng.uniform(0, 1, size=(12, 3))
-        result = fit_gamut_map(s, s + 0.1, GamutFitConfig(kernel_width=0.42))
+        result = fit_gamut_map(s, s + 0.1, kernel_width=0.42)
         assert result.map.kernel_width == 0.42
 
 
@@ -250,7 +255,7 @@ class TestApplyGamutMap:
         rng = np.random.default_rng(9)
         s = rng.uniform(0.1, 1.0, size=(30, 3))
         e = s + 0.1 * np.tanh(2 * s)
-        result = fit_gamut_map(s, e, GamutFitConfig(max_centers=12))
+        result = fit_gamut_map(s, e, max_centers=12)
         gmap = result.map
         delta = 1e-6
 
@@ -272,7 +277,7 @@ class TestApplyGamutMap:
     def test_lipschitz_bound_holds(self):
         rng = np.random.default_rng(10)
         s = rng.uniform(0.1, 1.0, size=(20, 3))
-        result = fit_gamut_map(s, s + 0.05 * np.cos(4 * s), GamutFitConfig(max_centers=10))
+        result = fit_gamut_map(s, s + 0.05 * np.cos(4 * s), max_centers=10)
         gmap = result.map
         # Gaussian kernel gradient is bounded by exp(-1/2)/width.
         lip = np.linalg.norm(gmap.affine[:, :3], 2) + (

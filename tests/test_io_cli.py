@@ -530,10 +530,12 @@ class TestCli:
         m = MeasurementSet(GRID, p, p @ mix, np.ones(24, dtype=bool))
         radiance, table = io.save_measurement_set(tmp_path, m)
         db_manifest = io.save_database(tmp_path / "db", db)
+        cfg = tmp_path / "cfg.json"
+        io.save_config(cfg, PipelineConfig(basis_dim=6, folds=8))
         out = tmp_path / "fit"
         assert run_cli(
             "fit-sensitivity", "--radiance", str(radiance), "--measurements", str(table),
-            "--database", str(db_manifest), "--d", "6", "--folds", "8",
+            "--database", str(db_manifest), "--config", str(cfg),
             "--out", str(out),
         ) == 0
         fitted = io.load_sensitivity_csv(out / "sensitivity.csv")
@@ -607,31 +609,48 @@ class TestCli:
         digest = manifest["inputs"][str(data_dir / "dataset.json")]
         assert digest == io.sha256_of(data_dir / "dataset.json")
 
-    def test_config_env_override(self, tmp_path, monkeypatch):
+    def test_config_env_override(self, synth_dir, tmp_path, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
         io.save_config(cfg_path, PipelineConfig(alpha=0.9, seed=4))
         monkeypatch.setenv("CAMSPEC_CONFIG", str(cfg_path))
-        data_dir = tmp_path / "data"
-        run_cli("synth", "--out", str(data_dir), "--seed", "7")
-        out = tmp_path / "p"
-        assert run_cli(
-            "pipeline", "--dataset", str(data_dir / "dataset.json"), "--out", str(out)
-        ) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["effective_config"]["alpha"] == 0.9
-        # The environment's config file is an input like --config's.
-        assert manifest["inputs"][str(cfg_path)] == io.sha256_of(cfg_path)
+        for command, build in CLI_RUNS.items():
+            out = tmp_path / command
+            assert run_cli(command, *build(synth_dir, tmp_path), "--out", str(out)) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            if command in ("simulate", "evaluate"):  # these read no config
+                assert str(cfg_path) not in manifest["inputs"]
+                assert "effective_config" not in manifest["config"]
+                continue
+            assert manifest["config"]["effective_config"]["alpha"] == 0.9, command
+            # The environment's config file is an input like --config's.
+            assert manifest["inputs"][str(cfg_path)] == io.sha256_of(cfg_path)
+
+    def test_synth_uses_the_config_grid(self, tmp_path):
+        grid = SpectralGrid(400.0, 20.0, 17)
+        cfg = tmp_path / "cfg.json"
+        io.save_config(cfg, PipelineConfig(), grid)
+        out = tmp_path / "s"
+        assert run_cli("synth", "--out", str(out), "--config", str(cfg)) == 0
+        assert io.load_dataset(out / "dataset.json").grid == grid
+        assert io.load_camera(out / "truth_camera.json").grid == grid
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["evaluate", "--camera", "c.json", "--dataset", "d.json", "--seed", "1"],
             ["simulate", "--camera", "c.json", "--scene", "s.json", "--seed", "1"],
-            ["fit-response", "--stack", "s.csv", "--config", "cfg.json"],
-            ["fit-sensitivity", "--radiance", "r.csv", "--measurements", "m.csv",
-             "--config", "cfg.json"],
+            ["fit-gamut", "--samples", "s.csv", "--seed", "1"],
+            # Config fields are set in the config file only.
+            ["fit-response", "--stack", "s.csv", "--smoothness", "5"],
+            ["fit-sensitivity", "--radiance", "r.csv", "--measurements", "m.csv", "--d", "6"],
+            ["fit-gamut", "--samples", "s.csv", "--max-centers", "32"],
+            ["export-chromaticity", "--camera", "c.json", "--dataset", "d.json",
+             "--alpha", "0.6"],
+            ["synth", "--grid-count", "17"],
         ],
-        ids=["evaluate-seed", "simulate-seed", "fit-response-config", "fit-sensitivity-config"],
+        ids=["evaluate-seed", "simulate-seed", "fit-gamut-seed", "fit-response-smoothness",
+             "fit-sensitivity-d", "fit-gamut-max-centers", "export-chromaticity-alpha",
+             "synth-grid-count"],
     )
     def test_seed_and_config_only_where_used(self, tmp_path, capsys, argv):
         assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
@@ -887,13 +906,17 @@ class TestJsonDocuments:
          _camera_with(lambda d: d["grid"].update(count=True), "grid.count"),
          _camera_with(lambda d: d["response"]["ln_e"][1].__setitem__(5, None), "response.ln_e"),
          _camera_with(lambda d: d.update(gamut=[]), "gamut"),
+         _camera_with(lambda d: d["omega"][3].pop(), "omega"),
+         _camera_with(lambda d: d["response"]["ln_e"][1].pop(), "response.ln_e"),
+         _camera_with(lambda d: d.update(exposure_applied="before_gamut"), "exposure_applied"),
          _config_with("alpha", "0.6"), _config_with("basis_dim", 2.5),
          _config_with("folds", True), _config_with("rbf_kernel_width", "wide"),
          _dataset_stack_name_number, _scene_exposures_strings],
         ids=["camera-omega", "camera-grid-count", "dataset-stacks", "database-entry-file",
              "scene-reflectances", "list-document", "config-unknown-key",
              "camera-grid-list", "camera-bit-depth-string", "camera-grid-count-bool",
-             "camera-ln-e-null", "camera-gamut-list", "config-alpha-string",
+             "camera-ln-e-null", "camera-gamut-list", "camera-omega-ragged",
+             "camera-ln-e-ragged", "camera-exposure-applied", "config-alpha-string",
              "config-basis-dim-float", "config-folds-bool", "config-kernel-width-string",
              "dataset-stack-name-number", "scene-exposures-strings"],
     )
