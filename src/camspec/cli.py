@@ -128,6 +128,15 @@ def _load_pipeline_config(args, run: _Run) -> tuple[PipelineConfig, SpectralGrid
     return cfg, grid
 
 
+def _require_data_grid(config_grid: SpectralGrid | None, data_grid: SpectralGrid) -> None:
+    """Only ``synth`` builds on a config's grid; every other command's data bring theirs."""
+    if config_grid is not None and config_grid != data_grid:
+        raise GridMismatchError(
+            f"config grid {config_grid} differs from the data's grid {data_grid}; "
+            "only synth builds on the config grid"
+        )
+
+
 def _cmd_synth(args, run: _Run) -> None:
     cfg, grid = _load_pipeline_config(args, run)
     grid = grid or DEFAULT_GRID
@@ -174,8 +183,9 @@ def _cmd_fit_response(args, run: _Run) -> None:
 
 
 def _cmd_fit_sensitivity(args, run: _Run) -> None:
-    cfg, _ = _load_pipeline_config(args, run)
+    cfg, grid = _load_pipeline_config(args, run)
     mset = io.load_measurement_set(run.track(args.radiance), run.track(args.measurements))
+    _require_data_grid(grid, mset.grid)
     db = io.load_database(run.track(args.database), mset.grid) if args.database else None
     basis, fit, cv = fit_sensitivity(mset, cfg, database=db)
     io.save_sensitivity_csv(run.out / "sensitivity.csv", fit.omega_hat)
@@ -218,8 +228,9 @@ def _cmd_fit_gamut(args, run: _Run) -> None:
 
 
 def _cmd_pipeline(args, run: _Run) -> None:
-    cfg, _ = _load_pipeline_config(args, run)
+    cfg, grid = _load_pipeline_config(args, run)
     data = io.load_dataset(run.track(args.dataset))
+    _require_data_grid(grid, data.grid)
     database = io.load_database(run.track(args.database), data.grid) if args.database else None
     est = run_two_stage(data, cfg, database=database)
     io.save_camera(run.out / "estimated_camera.json", est.camera)
@@ -253,9 +264,10 @@ def _cmd_evaluate(args, run: _Run) -> None:
 
 
 def _cmd_export_chromaticity(args, run: _Run) -> None:
-    cfg, _ = _load_pipeline_config(args, run)
+    cfg, grid = _load_pipeline_config(args, run)
     cam = io.load_camera(run.track(args.camera))
     data = io.load_dataset(run.track(args.dataset))
+    _require_data_grid(grid, data.grid)
     # Row by row: S is written to chromaticity.csv, and a plain (N, M) @ (M, 3)
     # product rounds some values differently in the last bit.
     s = (radiance_rows(data.illuminants, data.reflectances)[:, None, :] @ cam.omega.channels)[:, 0]

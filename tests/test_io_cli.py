@@ -634,6 +634,19 @@ class TestCli:
         assert io.load_dataset(out / "dataset.json").grid == grid
         assert io.load_camera(out / "truth_camera.json").grid == grid
 
+    @pytest.mark.parametrize("command", ["pipeline", "fit-sensitivity", "export-chromaticity"])
+    def test_config_grid_must_be_the_data_grid(self, synth_dir, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        io.save_config(cfg, PipelineConfig(), SpectralGrid(380.0, 5.0, 81))
+        argv = CLI_RUNS[command](synth_dir, tmp_path)
+        out = tmp_path / "o"
+        assert run_cli(command, *argv, "--config", str(cfg), "--out", str(out)) == 4
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "GridMismatchError"
+        assert "only synth builds on the config grid" in err["message"]
+        io.save_config(cfg, PipelineConfig(), GRID)  # the data's own grid is accepted
+        assert run_cli(command, *argv, "--config", str(cfg), "--out", str(out)) == 0
+
     @pytest.mark.parametrize(
         "argv",
         [

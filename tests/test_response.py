@@ -10,7 +10,7 @@ from camspec import (
     estimate_response,
     synthetic_camera,
 )
-from camspec.errors import UnderdeterminedError
+from camspec.errors import RankDeficiencyError, UnderdeterminedError
 from support import (
     cluster_target_codes,
     flat_patch_stack,
@@ -51,6 +51,11 @@ def synthetic_stack(bit_depth: int, n_illuminants: int, n_patches: int, seed: in
 @pytest.fixture(scope="module")
 def synthetic_8bit():
     return synthetic_stack(8, 2, 24)
+
+
+@pytest.fixture(scope="module")
+def synthetic_10bit():
+    return synthetic_stack(10, 1, 8)
 
 
 class TestExposureStack:
@@ -115,6 +120,27 @@ class TestEstimateResponse:
         with pytest.raises(UnderdeterminedError, match="b"):
             estimate_response(stack)
 
+    def test_zero_smoothness_is_underdetermined(self, gamma_stack):
+        # Codes 0 and 255 have zero hat weight, so no data row reaches them.
+        with pytest.raises(
+            UnderdeterminedError,
+            match=r"^response system underdetermined for channel\(s\) r, g, b: "
+            r"smoothness_lambda = 0 .*raise smoothness_lambda$",
+        ):
+            estimate_response(gamma_stack, smoothness_lambda=0.0)
+
+    def test_patches_that_never_change_code_leave_the_slope_free(self):
+        # Two samples per patch, but each patch shows one code at both
+        # exposures: the data equations then hold for any slope.
+        samples = np.repeat(np.arange(60, 180, 20)[:, None, None], 2, axis=1).repeat(3, axis=2)
+        samples[0, 1, 2] = 70  # blue's first patch reaches two codes
+        with pytest.raises(
+            UnderdeterminedError,
+            match=r"^response system underdetermined for channel\(s\) r, g: no patch reaches "
+            r"two codes, so the slope is free; add exposures$",
+        ):
+            estimate_response(ExposureStack(np.array([1.0, 2.0]), samples))
+
     def test_exposure_scale_gauge_invariance(self, gamma_camera, gamma_stack):
         fit1 = estimate_response(gamma_stack)
         scaled = ExposureStack(
@@ -149,24 +175,42 @@ class TestEstimateResponse:
 
 
 class TestAgainstDenseOracle:
-    """The patch-eliminated solve against the dense system with one column
-    per patch (tests/support.py)."""
+    """The patch-eliminated normal-equation solve against the dense system
+    with one column per patch (tests/support.py). A large smoothness weight
+    is where an anchor kept as a penalty row, or no refinement, fails."""
 
-    @pytest.mark.parametrize("case", ["gamma", "synthetic", "synthetic-masked", "ten-bit"])
-    def test_matches_dense_system_with_patch_unknowns(self, request, case):
+    # 10-bit stacks stop at lam = 500: at 5e4, lstsq solves of the 10-bit
+    # system, the oracle's included, are good only to about 1e-9.
+    @pytest.mark.parametrize(
+        "case, lam",
+        [pytest.param(case, 50.0, id=case) for case in
+         ("gamma", "synthetic", "synthetic-masked", "ten-bit", "ten-bit-masked")]
+        + [pytest.param(case, lam, id=f"{case}-lam{lam:g}")
+           for case in ("gamma", "synthetic", "synthetic-masked") for lam in (5.0, 500.0, 5e4)]
+        + [pytest.param("ten-bit-masked", lam, id=f"ten-bit-masked-lam{lam:g}")
+           for lam in (5.0, 500.0)],
+    )
+    def test_matches_dense_system_with_patch_unknowns(self, request, case, lam):
         mask = None
         if case == "gamma":
             stack = request.getfixturevalue("gamma_stack")
-        elif case == "ten-bit":
-            stack = synthetic_stack(10, 1, 8)
+        elif case.startswith("ten-bit"):
+            stack = request.getfixturevalue("synthetic_10bit")
         else:
             stack = request.getfixturevalue("synthetic_8bit")
-            if case == "synthetic-masked":
-                rng = np.random.default_rng(5)
-                mask = rng.random((stack.n_patches, stack.n_exposures)) < 0.7
-        fit = estimate_response(stack, sample_mask=mask)
-        want = response_dense_oracle(stack, 50.0, mask)
+        if case.endswith("masked"):
+            rng = np.random.default_rng(5)
+            mask = rng.random((stack.n_patches, stack.n_exposures)) < 0.7
+        fit = estimate_response(stack, sample_mask=mask, smoothness_lambda=lam)
+        want = response_dense_oracle(stack, lam, mask)
         assert np.abs(fit.ln_e - want).max() <= 1e-9
+
+    @pytest.mark.parametrize("fixture", ["synthetic_8bit", "synthetic_10bit"])
+    def test_refinement_certificate_refuses_an_inaccurate_solve(self, request, fixture):
+        # At this weight cond(A^T A) is far beyond 1/eps; the refinement
+        # step is 0.07-2 in ln g^-1 on these stacks.
+        with pytest.raises(RankDeficiencyError, match=r"failed its certificate: refinement step"):
+            estimate_response(request.getfixturevalue(fixture), smoothness_lambda=1e8)
 
 
 class TestPatchElimination:
