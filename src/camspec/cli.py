@@ -268,6 +268,10 @@ def _cmd_export_chromaticity(args, run: _Run) -> None:
     cam = io.load_camera(run.track(args.camera))
     data = io.load_dataset(run.track(args.dataset))
     _require_data_grid(grid, data.grid)
+    if cam.grid != data.grid:
+        raise GridMismatchError(
+            f"camera grid {cam.grid} differs from the dataset's grid {data.grid}"
+        )
     # Row by row: S is written to chromaticity.csv, and a plain (N, M) @ (M, 3)
     # product rounds some values differently in the last bit.
     s = (radiance_rows(data.illuminants, data.reflectances)[:, None, :] @ cam.omega.channels)[:, 0]

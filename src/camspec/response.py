@@ -3,13 +3,18 @@
 The estimator solves the log-domain least-squares problem of Debevec & Malik
 (1997): hat-weighted data equations ln g^-1(z) - ln E_patch = ln t,
 curvature (smoothness) penalties, and a mid-code anchor that fixes the
-arbitrary overall scale. Each patch's ln E is eliminated in closed form
-(variable projection), so only the 2^bits code unknowns are solved for, by
-normal equations assembled from the sparse rows with the anchor unknown
-eliminated. One refinement step (Bjorck, *Numerical Methods for Least
-Squares Problems*, 1996) follows, and its size, bounded by
-``CERTIFICATE_BOUND``, certifies the table. A channel costs O((2^bits)^3)
-time and O((2^bits)^2) memory.
+arbitrary overall scale. The normal equations of the code unknowns x and
+the patch unknowns ln E have a pentadiagonal code block and a diagonal
+patch block; they are assembled from the sparse rows, with the anchor
+unknown eliminated, and one block is eliminated in closed form. With P
+active patches and fewer patches than free codes, the code block goes: a
+banded LDL^T and a P x P capacitance (Woodbury; Golub & Van Loan, *Matrix
+Computations*, 4.3), O(2^bits P + P^3) time and O(2^bits P) memory per
+channel. Otherwise each patch's ln E goes (variable projection) and the
+2^bits code unknowns are solved densely, O((2^bits)^3) time and
+O((2^bits)^2) memory. One refinement step (Bjorck, *Numerical Methods for
+Least Squares Problems*, 1996) follows either solve, and its size, bounded
+by ``CERTIFICATE_BOUND``, certifies the table.
 """
 
 from __future__ import annotations
@@ -97,16 +102,165 @@ def hat_weights(n_codes: int) -> np.ndarray:
 CERTIFICATE_BOUND = 1e-5
 
 
-def _smoothness_gram(sw: np.ndarray) -> np.ndarray:
-    """Pentadiagonal Gram matrix of the smoothness rows
-    ``sw[z - 1] * (x[z - 1] - 2 x[z] + x[z + 1])`` for 0 < z < sw.size + 1."""
+def _smoothness_bands(sw: np.ndarray) -> list[np.ndarray]:
+    """Diagonals 0, 1 and 2 of the pentadiagonal Gram matrix of the
+    smoothness rows ``sw[z - 1] * (x[z - 1] - 2 x[z] + x[z + 1])`` for
+    0 < z < sw.size + 1."""
     q = np.pad(sw * sw, 1)
-    i = np.arange(q.size)
-    gram = np.zeros((q.size, q.size))
-    gram[i, i] = np.convolve(q, [1.0, 4.0, 1.0], "same")
-    gram[i[:-1], i[1:]] = gram[i[1:], i[:-1]] = -2.0 * (q[:-1] + q[1:])
-    gram[i[:-2], i[2:]] = gram[i[2:], i[:-2]] = q[1:-1]
-    return gram
+    return [np.convolve(q, [1.0, 4.0, 1.0], "same"), -2.0 * (q[:-1] + q[1:]), q[1:-1]]
+
+
+def _band_factor(sw: np.ndarray, code_w2: np.ndarray, anchor: int) -> np.ndarray:
+    """L D L^T of B, the smoothness Gram plus diag(w2) with the anchor's row
+    and column the identity, for each row w2 of ``code_w2``. Returns L's
+    subdiagonals 1 and 2, each padded at the front, and D's diagonal,
+    stacked as (3, codes, channels, 1)."""
+    diag, sub1, sub2 = _smoothness_bands(sw)
+    sub1[anchor - 1 : anchor + 1] = sub2[anchor - 2 : anchor + 1 : 2] = 0.0
+    sub1, sub2 = [0.0, *sub1.tolist()], [0.0, 0.0, *sub2.tolist()]  # B[i, i-1], B[i, i-2]
+    factor = []
+    for w2 in code_w2:
+        b_diag = diag + w2
+        b_diag[anchor] = 1.0
+        rows = []
+        a1, d1, d2 = 0.0, 1.0, 1.0  # a[i - 1], d[i - 1], d[i - 2]
+        for di, s1, s2 in zip(b_diag.tolist(), sub1, sub2):
+            t = s1 - s2 * a1
+            ai, bi = t / d1, s2 / d2
+            di -= ai * t + bi * s2
+            rows.append((ai, bi, di))
+            a1, d1, d2 = ai, di, d1
+        factor.append(list(zip(*rows)))
+    return np.array(factor).transpose(1, 2, 0)[..., None]
+
+
+def _unit_sweep(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """r[i] -= a[i] r[i - 1] + b[i] r[i - 2] for i = 1, 2, ..., in place
+    (a[0] = b[0] = b[1] = 0).
+
+    The rows go in about sqrt(n) blocks, so the Python loops run about
+    3 sqrt(n) times: every block first sweeps from a zero start, all blocks
+    at once; then each block, in turn, adds its response to the two rows
+    before it, from unit impulses swept alongside.
+    """
+    n = r.shape[0]
+    k = 1 << (n.bit_length() // 2)  # n is a power of two
+    z, a, b = (v.reshape(n // k, k, *v.shape[1:]) for v in (r, a, b))
+    # Rows -2 and -1 of each block start as unit impulses, one per column.
+    h = np.zeros((n // k, k + 2, 2, *a.shape[2:]))
+    h[:, 0, 1] = h[:, 1, 0] = 1.0
+    for j in range(k):
+        h[:, j + 2] -= a[:, j, None] * h[:, j + 1] + b[:, j, None] * h[:, j]
+    z[:, 1] -= a[:, 1] * z[:, 0]
+    for j in range(2, k):
+        z[:, j] -= a[:, j] * z[:, j - 1] + b[:, j] * z[:, j - 2]
+    for block in range(1, n // k):
+        z[block] += h[block, 2:, 0] * z[block - 1, -1] + h[block, 2:, 1] * z[block - 1, -2]
+
+
+def _band_solve(factor: np.ndarray, r: np.ndarray) -> None:
+    """Overwrite r with (L D L^T)^-1 r; ``factor`` stacks L's subdiagonals
+    and D's diagonal from ``_band_factor``, each broadcasting against r."""
+    a, b, d = factor
+    _unit_sweep(r, a, b)
+    r /= d
+    _unit_sweep(r[::-1], np.roll(a[::-1], 1, axis=0), np.roll(b[::-1], 2, axis=0))
+
+
+class _ChannelSystem:
+    """One channel's least-squares rows, each patch's ln E eliminated, and
+    their normal equations G x = A^T b.
+
+    A sample's data row is w (e_code - m_p / W_p), where m_p sums w^2 e_code
+    and W_p sums w^2 over the samples of its patch p. So G = B - C W^-1 C^T:
+    B, the smoothness Gram plus diag(sum of w^2 per code), is pentadiagonal,
+    C (codes x patches) holds w^2 at each sample's (code, patch), and
+    W = diag(W_p). The anchor row and column of B and G are the identity and
+    C's anchor row is zero, which fixes x[anchor] = 0.
+    """
+
+    def __init__(self, codes, patch, slot, w, log_t, n_slots, sw, anchor):
+        self.codes, self.patch, self.w, self.sw, self.anchor = codes, patch, w, sw, anchor
+        self.w2 = w * w
+        self.w2_patch = np.bincount(patch, self.w2)
+        self.code_w2 = np.bincount(codes, self.w2, sw.size + 2)
+        self.b = w * self._centered(log_t)
+        # Samples by (patch, exposure slot), zero where a slot is empty.
+        self.slot_code = np.zeros((self.n_patches, n_slots), dtype=int)
+        self.slot_w2 = np.zeros((self.n_patches, n_slots))
+        self.slot_code[patch, slot] = codes
+        self.slot_w2[patch, slot] = self.w2
+
+    @property
+    def n_patches(self) -> int:
+        return self.w2_patch.size
+
+    def _centered(self, v):  # v minus its patch's w^2-weighted mean
+        return v - (np.bincount(self.patch, self.w2 * v) / self.w2_patch)[self.patch]
+
+    def gradient(self, x):
+        """A^T (b - A x) without the anchor's entry."""
+        u = self.w * (self.b - self.w * self._centered(x[self.codes]))
+        w2_mean = (np.bincount(self.patch, u) / self.w2_patch)[self.patch]
+        out = np.bincount(self.codes, u - self.w2 * w2_mean, x.size)
+        out -= np.convolve(self.sw * self.sw * np.diff(x, 2), [1.0, -2.0, 1.0])
+        out[self.anchor] = 0.0
+        return out
+
+    def gram(self):
+        """G as a dense matrix."""
+        n = self.code_w2.size
+        diag, sub1, sub2 = _smoothness_bands(self.sw)
+        gram = np.diag(diag)
+        for offset, band in ((1, sub1), (2, sub2)):
+            gram += np.diag(band, offset) + np.diag(band, -offset)
+        # The m_p m_p^T / W_p terms, summed over every pair of samples in a patch.
+        pairs = (self.slot_code[:, :, None] * n + self.slot_code[:, None, :]).ravel()
+        weights = self.slot_w2[:, :, None] * self.slot_w2[:, None, :] / self.w2_patch[:, None, None]
+        gram -= np.bincount(pairs, weights.ravel(), n * n).reshape(n, n)
+        gram.flat[:: n + 1] += self.code_w2
+        gram[self.anchor, :] = gram[:, self.anchor] = 0.0
+        gram[self.anchor, self.anchor] = 1.0
+        return gram
+
+    def coupling_t(self, v):
+        """C^T v for v (codes, ...) whose anchor row is zero."""
+        return np.einsum("pe,pe...->p...", self.slot_w2, v[self.slot_code])
+
+
+def _code_block_solver(systems: list[_ChannelSystem], first: list[np.ndarray]):
+    """Solve G x = r by eliminating the code block instead of the patch
+    block: G^-1 r = u + Y K^-1 C^T u, where u = B^-1 r, Y = B^-1 C and
+    K = W - C^T Y is the P x P capacitance (Woodbury). One banded LDL^T of B
+    per system; each banded pass runs over every system at once, and the
+    first one gives u for the right-hand sides ``first`` together with Y.
+
+    Returns the solutions for ``first`` and a function that solves for
+    further right-hand sides, one per system.
+    """
+    n = first[0].size
+    factor = _band_factor(systems[0].sw, np.array([s.code_w2 for s in systems]), systems[0].anchor)
+    block = np.zeros((n, len(systems), 1 + max(s.n_patches for s in systems)))
+    for j, (s, r) in enumerate(zip(systems, first)):
+        block[:, j, 0] = r
+        np.add.at(block[:, j, 1:], (s.codes, s.patch), s.w2)  # C, then its anchor row zeroed
+        block[s.anchor, j, 1:] = 0.0
+    _band_solve(factor, block)
+    ys = [block[:, j, 1 : 1 + s.n_patches] for j, s in enumerate(systems)]
+    caps = [np.diag(s.w2_patch) - s.coupling_t(y) for s, y in zip(systems, ys)]
+
+    def finish(u):
+        return [
+            u[:, j] + y @ np.linalg.solve(cap, s.coupling_t(u[:, j]))
+            for j, (s, y, cap) in enumerate(zip(systems, ys, caps))
+        ]
+
+    def solve(rs):
+        u = np.stack(rs, axis=1)[:, :, None]
+        _band_solve(factor, u)
+        return finish(u[:, :, 0])
+
+    return finish(block[:, :, 0]), solve
 
 
 def estimate_response(
@@ -123,16 +277,20 @@ def estimate_response(
 
     ``smoothness_lambda`` (positive) scales the curvature penalty.
 
-    Each patch's ln E, a w^2-weighted mean for fixed g, is eliminated in
-    closed form, so the solve has 2^bits unknowns whatever the patch count.
-    Their normal equations are assembled from the rows' structure, never
+    The normal equations are assembled from the rows' structure, never
     from a dense design matrix, with the anchor code fixed at exactly 0 by
-    dropping its row and column. One refinement step against the
-    least-squares rows follows the solve; a step above ``CERTIFICATE_BOUND``
-    raises ``RankDeficiencyError``. Each channel costs O((2^bits)^3) time and
-    O((2^bits)^2) memory. Smoothness rows fill codes the data never reaches
-    by curvature-minimizing extension; the final table is projected to be
-    strictly increasing.
+    dropping its row and column. A channel with P active patches, fewer
+    than the 2^bits - 1 free codes, eliminates the code block: a banded
+    LDL^T of the smoothness-plus-diagonal code block and a P x P
+    capacitance, O(2^bits P + P^3) time and O(2^bits P) memory; the banded
+    passes serve all such channels at once. A channel with more patches
+    eliminates each patch's ln E, a w^2-weighted mean for fixed g, and
+    solves the 2^bits code unknowns densely, O((2^bits)^3) time and
+    O((2^bits)^2) memory. One refinement step against the least-squares
+    rows follows the solve; a step above ``CERTIFICATE_BOUND`` raises
+    ``RankDeficiencyError``. Smoothness rows fill codes the data never
+    reaches by curvature-minimizing extension; the final table is
+    projected to be strictly increasing.
 
     A system without a unique solution raises ``UnderdeterminedError``
     naming the channels: ``smoothness_lambda = 0`` (codes 0 and 2^bits - 1
@@ -164,10 +322,9 @@ def estimate_response(
 
     w_of = hat_weights(n)
     sw = smoothness_lambda * w_of[1:-1]
-    smooth_gram = _smoothness_gram(sw)
     log_e = np.log(stack.exposures)
 
-    tables = np.empty((3, n))
+    systems: dict[int, _ChannelSystem] = {}
     deficient: dict[str, list[str]] = {}
     for k in range(3):
         pj, ei = np.nonzero(usable)
@@ -188,50 +345,36 @@ def estimate_response(
         if reason is not None:
             deficient.setdefault(reason, []).append(CHANNEL_NAMES[k])
             continue
+        systems[k] = _ChannelSystem(codes, pj, ei, w, log_e[ei], stack.n_exposures, sw, anchor)
 
-        # A sample's data row is w (e_code - m_p / W_p), where m_p sums
-        # w^2 e_code and W_p sums w^2 over the samples of its patch p.
-        w2 = w * w
-        w2_patch = np.bincount(pj, w2)
+    # A channel with fewer active patches than free codes eliminates its
+    # code block; the others solve G densely.
+    grams = {k: s.gram() for k, s in systems.items() if s.n_patches >= n - 1}
+    by_codes = [k for k in systems if k not in grams]
+    x = np.zeros((3, n))
+    step = np.zeros((3, n))
+    for refinement in (False, True):  # solve, then refine once
+        rhs = {k: s.gradient(x[k]) for k, s in systems.items()}
+        for k, gram in grams.items():
+            step[k] = np.linalg.solve(gram, rhs[k])
+        if by_codes and refinement:
+            step[by_codes] = solve([rhs[k] for k in by_codes])
+        elif by_codes:
+            step[by_codes], solve = _code_block_solver(
+                [systems[k] for k in by_codes], [rhs[k] for k in by_codes]
+            )
+        x += step
 
-        def centered(v):  # v minus its patch's w^2-weighted mean
-            return v - (np.bincount(pj, w2 * v) / w2_patch)[pj]
-
-        b = w * centered(log_e[ei])
-
-        def gradient(x):  # A^T (b - A x) without the anchor's entry
-            u = w * (b - w * centered(x[codes]))
-            out = np.bincount(codes, u - w2 * (np.bincount(pj, u) / w2_patch)[pj], n)
-            out -= np.convolve(sw * sw * np.diff(x, 2), [1.0, -2.0, 1.0])
-            out[anchor] = 0.0
-            return out
-
-        # A^T A = diag(sum of w^2 per code) - sum_p m_p m_p^T / W_p + smoothness,
-        # the m_p m_p^T terms summed over every pair of samples in a patch.
-        slot_code = np.zeros((patches.size, stack.n_exposures), dtype=int)
-        slot_w2 = np.zeros((patches.size, stack.n_exposures))
-        slot_code[pj, ei] = codes
-        slot_w2[pj, ei] = w2
-        pairs = (slot_code[:, :, None] * n + slot_code[:, None, :]).ravel()
-        weights = (slot_w2[:, :, None] * slot_w2[:, None, :] / w2_patch[:, None, None]).ravel()
-        gram = smooth_gram - np.bincount(pairs, weights, n * n).reshape(n, n)
-        gram.flat[:: n + 1] += np.bincount(codes, w2, n)
-        # Eliminate the anchor: an identity row and column fix x[anchor] = 0.
-        gram[anchor, :] = gram[:, anchor] = 0.0
-        gram[anchor, anchor] = 1.0
-
-        x = np.zeros(n)
-        for _ in range(2):  # solve, then refine once
-            step = np.linalg.solve(gram, gradient(x))
-            x += step
-        certificate = float(np.abs(step).max())
+    tables = np.empty((3, n))
+    for k in systems:
+        certificate = float(np.abs(step[k]).max())
         if not certificate <= CERTIFICATE_BOUND:  # also refuses NaN
             raise RankDeficiencyError(
                 f"response solve for channel {CHANNEL_NAMES[k]} failed its certificate: "
                 f"refinement step {certificate:.3g} > {CERTIFICATE_BOUND:g} in ln g^-1; "
                 "lower smoothness_lambda"
             )
-        tables[k] = strictly_increasing(x)
+        tables[k] = strictly_increasing(x[k])
 
     if deficient:
         raise UnderdeterminedError("; ".join(

@@ -647,6 +647,20 @@ class TestCli:
         io.save_config(cfg, PipelineConfig(), GRID)  # the data's own grid is accepted
         assert run_cli(command, *argv, "--config", str(cfg), "--out", str(out)) == 0
 
+    def test_export_chromaticity_needs_the_dataset_grid(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        io.save_config(cfg, PipelineConfig(), SpectralGrid(400.0, 20.0, 17))
+        coarse = tmp_path / "coarse"
+        assert run_cli("synth", "--out", str(coarse), "--config", str(cfg)) == 0
+        capsys.readouterr()
+        argv = ["--camera", str(coarse / "truth_camera.json"),
+                "--dataset", str(synth_dir / "dataset.json"), "--out", str(tmp_path / "o")]
+        assert run_cli("export-chromaticity", *argv) == 4
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "GridMismatchError"
+        for grid in ("step_nm=20.0, count=17", "step_nm=10.0, count=33"):
+            assert grid in err["message"]
+
     @pytest.mark.parametrize(
         "argv",
         [

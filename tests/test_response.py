@@ -58,6 +58,14 @@ def synthetic_10bit():
     return synthetic_stack(10, 1, 8)
 
 
+@pytest.fixture(scope="module")
+def synthetic_8bit_wide():
+    """More active patches than codes, so the patch block is eliminated."""
+    stack = synthetic_stack(8, 12, 32)
+    assert np.unique(np.nonzero(stack.triplet_valid)[0]).size >= 2**8 - 1
+    return stack
+
+
 class TestExposureStack:
     def test_rejects_out_of_range_codes(self):
         with pytest.raises(ValueError, match="codes"):
@@ -105,6 +113,18 @@ class TestEstimateResponse:
         fit = estimate_response(gamma_stack)
         errors = gauge_aligned_code_error(fit, gamma_camera.response)
         assert errors.max() < 2.0
+
+    def test_twelve_bit_gamma22_recovery(self):
+        # Criterion 3's stack and bounds at 12 bits, codes scaled by 4095/255.
+        from camspec import DEFAULT_GRID
+
+        scale = (2**12 - 1) / 255
+        lo, hi = round(20 * scale), round(220 * scale)
+        cam = synthetic_camera(DEFAULT_GRID, gamma=2.2, bit_depth=12)
+        levels = levels_for_codes(cam, cluster_target_codes() * scale, gamma=2.2)
+        fit = estimate_response(flat_patch_stack(cam, levels, EXPOSURES))
+        np.testing.assert_allclose(loglog_exponent(fit, lo, hi), 2.2, atol=0.05)
+        assert gauge_aligned_code_error(fit, cam.response, lo, hi).max() < 2.0 * scale
 
     def test_table_finite_and_strictly_increasing(self, gamma_stack):
         fit = estimate_response(gamma_stack)
@@ -177,18 +197,21 @@ class TestEstimateResponse:
 class TestAgainstDenseOracle:
     """The patch-eliminated normal-equation solve against the dense system
     with one column per patch (tests/support.py). A large smoothness weight
-    is where an anchor kept as a penalty row, or no refinement, fails."""
+    is where an anchor kept as a penalty row, or no refinement, fails.
+    Every case but "more-patches" has fewer active patches than free codes,
+    so it eliminates the code block instead."""
 
     # 10-bit stacks stop at lam = 500: at 5e4, lstsq solves of the 10-bit
     # system, the oracle's included, are good only to about 1e-9.
     @pytest.mark.parametrize(
         "case, lam",
         [pytest.param(case, 50.0, id=case) for case in
-         ("gamma", "synthetic", "synthetic-masked", "ten-bit", "ten-bit-masked")]
+         ("gamma", "synthetic", "synthetic-masked", "ten-bit", "ten-bit-masked", "anchor-code")]
         + [pytest.param(case, lam, id=f"{case}-lam{lam:g}")
            for case in ("gamma", "synthetic", "synthetic-masked") for lam in (5.0, 500.0, 5e4)]
         + [pytest.param("ten-bit-masked", lam, id=f"ten-bit-masked-lam{lam:g}")
-           for lam in (5.0, 500.0)],
+           for lam in (5.0, 500.0)]
+        + [pytest.param("more-patches", lam, id=f"more-patches-lam{lam:g}") for lam in (50.0, 5e4)],
     )
     def test_matches_dense_system_with_patch_unknowns(self, request, case, lam):
         mask = None
@@ -196,8 +219,14 @@ class TestAgainstDenseOracle:
             stack = request.getfixturevalue("gamma_stack")
         elif case.startswith("ten-bit"):
             stack = request.getfixturevalue("synthetic_10bit")
+        elif case == "more-patches":
+            stack = request.getfixturevalue("synthetic_8bit_wide")
         else:
             stack = request.getfixturevalue("synthetic_8bit")
+        if case == "anchor-code":  # samples at the anchor code still inform their patch
+            samples = stack.samples.copy()
+            samples[:4, 1] = 2**stack.bit_depth // 2
+            stack = ExposureStack(stack.exposures, samples, stack.bit_depth, stack.sat_lo, stack.sat_hi)
         if case.endswith("masked"):
             rng = np.random.default_rng(5)
             mask = rng.random((stack.n_patches, stack.n_exposures)) < 0.7
