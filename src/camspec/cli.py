@@ -78,8 +78,9 @@ def _exit_code_for(exc: Exception) -> int:
 
 
 class _Run:
-    """Collects input digests and the effective config, and writes the manifest
-    when the command is done."""
+    """Collects the digest of every file the command reads (``io`` records each read
+    into ``inputs``) and the effective config, and writes the manifest when the
+    command is done."""
 
     def __init__(self, args: argparse.Namespace):
         self.command = args.command
@@ -90,11 +91,6 @@ class _Run:
         self.seed: int | None = None
         self.effective_config: dict | None = None
         self.started = io.utc_now()
-
-    def track(self, path) -> Path:
-        path = Path(path)
-        self.inputs[str(path)] = io.sha256_of(path)
-        return path
 
     def finish(self) -> None:
         snapshot = {k: v for k, v in vars(self.args).items() if k not in ("func", "command")}
@@ -115,11 +111,11 @@ class _Run:
 
 
 def _load_pipeline_config(args, run: _Run) -> tuple[PipelineConfig, SpectralGrid | None]:
-    """``--config``, else ``$CAMSPEC_CONFIG`` (tracked as an input), else the defaults,
+    """``--config``, else ``$CAMSPEC_CONFIG`` (recorded as an input), else the defaults,
     with ``--seed`` over the config's seed: (config, the config's grid or None).
     The config is recorded in the manifest as ``effective_config``."""
     path = args.config or os.environ.get("CAMSPEC_CONFIG")
-    cfg, grid = io.load_config(run.track(path)) if path else (PipelineConfig(), None)
+    cfg, grid = io.load_config(path) if path else (PipelineConfig(), None)
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
     if "seed" in vars(args):  # a command that draws random numbers records its seed
@@ -157,8 +153,8 @@ def _cmd_synth(args, run: _Run) -> None:
 
 
 def _cmd_simulate(args, run: _Run) -> None:
-    cam = io.load_camera(run.track(args.camera))
-    light, surfaces, exposures = io.load_scene(run.track(args.scene), cam.grid)
+    cam = io.load_camera(args.camera)
+    light, surfaces, exposures = io.load_scene(args.scene, cam.grid)
     samples = render(cam, radiance_rows([light], surfaces), exposures)
     stack = ExposureStack(exposures, samples, cam.bit_depth, cam.sat_lo, cam.sat_hi)
     io.save_stack_csv(run.out / "pixels.csv", stack)
@@ -166,7 +162,7 @@ def _cmd_simulate(args, run: _Run) -> None:
 
 def _cmd_fit_response(args, run: _Run) -> None:
     cfg, _ = _load_pipeline_config(args, run)
-    stack = io.load_stack_csv(run.track(args.stack), args.bit_depth, cfg.sat_lo, cfg.sat_hi)
+    stack = io.load_stack_csv(args.stack, args.bit_depth, cfg.sat_lo, cfg.sat_hi)
     curve = estimate_response(stack, smoothness_lambda=cfg.smoothness_lambda)
     reciprocity = check_exposure_reciprocity(stack, curve)
     io.write_json(
@@ -184,9 +180,9 @@ def _cmd_fit_response(args, run: _Run) -> None:
 
 def _cmd_fit_sensitivity(args, run: _Run) -> None:
     cfg, grid = _load_pipeline_config(args, run)
-    mset = io.load_measurement_set(run.track(args.radiance), run.track(args.measurements))
+    mset = io.load_measurement_set(args.radiance, args.measurements)
     _require_data_grid(grid, mset.grid)
-    db = io.load_database(run.track(args.database), mset.grid) if args.database else None
+    db = io.load_database(args.database, mset.grid) if args.database else None
     basis, fit, cv = fit_sensitivity(mset, cfg, database=db)
     io.save_sensitivity_csv(run.out / "sensitivity.csv", fit.omega_hat)
     io.write_json(
@@ -209,7 +205,7 @@ def _cmd_fit_sensitivity(args, run: _Run) -> None:
 
 def _cmd_fit_gamut(args, run: _Run) -> None:
     cfg, _ = _load_pipeline_config(args, run)
-    s_samples, e_targets = io.load_gamut_samples(run.track(args.samples))
+    s_samples, e_targets = io.load_gamut_samples(args.samples)
     result = fit_gamut_map(
         s_samples,
         e_targets,
@@ -229,9 +225,9 @@ def _cmd_fit_gamut(args, run: _Run) -> None:
 
 def _cmd_pipeline(args, run: _Run) -> None:
     cfg, grid = _load_pipeline_config(args, run)
-    data = io.load_dataset(run.track(args.dataset))
+    data = io.load_dataset(args.dataset)
     _require_data_grid(grid, data.grid)
-    database = io.load_database(run.track(args.database), data.grid) if args.database else None
+    database = io.load_database(args.database, data.grid) if args.database else None
     est = run_two_stage(data, cfg, database=database)
     io.save_camera(run.out / "estimated_camera.json", est.camera)
     cv = est.stage1.sensitivity_cv
@@ -256,8 +252,8 @@ def _cmd_pipeline(args, run: _Run) -> None:
 
 
 def _cmd_evaluate(args, run: _Run) -> None:
-    cam = io.load_camera(run.track(args.camera))
-    data = io.load_dataset(run.track(args.dataset))
+    cam = io.load_camera(args.camera)
+    data = io.load_dataset(args.dataset)
     disjoint = {"yes": True, "no": False, "unknown": None}[args.disjoint]
     report = evaluate(cam, data, disjoint_from_training=disjoint)
     io.save_evaluation_report(run.out, report)
@@ -265,8 +261,8 @@ def _cmd_evaluate(args, run: _Run) -> None:
 
 def _cmd_export_chromaticity(args, run: _Run) -> None:
     cfg, grid = _load_pipeline_config(args, run)
-    cam = io.load_camera(run.track(args.camera))
-    data = io.load_dataset(run.track(args.dataset))
+    cam = io.load_camera(args.camera)
+    data = io.load_dataset(args.dataset)
     _require_data_grid(grid, data.grid)
     if cam.grid != data.grid:
         raise GridMismatchError(
@@ -370,6 +366,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         run = _Run(args)
+        io._read_digests = run.inputs
         args.func(args, run)
         run.finish()
     except Exception as exc:  # noqa: BLE001 - boundary: everything becomes error JSON
@@ -380,6 +377,8 @@ def main(argv=None) -> int:
             )
         )
         return code
+    finally:
+        io._read_digests = None
     return EXIT_OK
 
 

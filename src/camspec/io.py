@@ -1,9 +1,11 @@
 """File formats: spectral/stack/database CSV, camera, config and scene JSON, run manifests.
 
 JSON carries structured models, CSV carries tables meant for external
-plotting. Floats are written with ``repr`` so every documented round trip
-is exact; loaders validate eagerly and raise ParseError with the file,
-line or key, and the violated rule.
+plotting. A table goes out in one write, in csv.writer's bytes: UTF-8, CRLF
+rows, floats by ``repr`` so every documented round trip is exact, and each
+distinct integer of a column formatted once. Loaders read each file once,
+validate eagerly and raise ParseError with the file, line or key, and the
+violated rule.
 """
 
 from __future__ import annotations
@@ -11,10 +13,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import re
 import typing
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from itertools import chain
+from io import BytesIO, StringIO, TextIOWrapper
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +40,10 @@ SCHEMA_VERSION = 1
 #: Recorded in the camera schema: exposure multiplies the gamut-mapped value
 #: at the response input (reciprocity holds for any gamut map).
 EXPOSURE_CONVENTION = "after_gamut"
+
+#: While a dict, every file a loader reads is recorded in it: path -> SHA-256 of its bytes.
+_read_digests: dict | None = None
+_QUOTED = re.compile('[,"\r\n]').search  # a text cell csv.writer quotes
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +123,17 @@ def _typed(doc: dict, key: str, kind):
     return value
 
 
+def _opened(path, newline=None) -> TextIOWrapper:
+    """``open(path, newline=newline, encoding="utf-8")`` from one read; ParseError if unreadable."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if _read_digests is not None:
+        _read_digests[str(Path(path))] = hashlib.sha256(raw).hexdigest()
+    return TextIOWrapper(BytesIO(raw), encoding="utf-8", newline=newline)
+
+
 def write_json(path, doc: dict) -> None:
     """Write ``doc`` as one JSON object, stamped ``"schema": SCHEMA_VERSION`` first."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -130,10 +149,7 @@ def read_json(path) -> dict:
     result at any depth raises ParseError naming the file and a missing key.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, object_pairs_hook=lambda pairs: _Object(pairs, path))
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        doc = json.load(_opened(path), object_pairs_hook=lambda pairs: _Object(pairs, path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
     if not isinstance(doc, _Object):
@@ -159,26 +175,29 @@ def _read_table(path, header=None, text_columns=0) -> tuple[list, np.ndarray, np
     header's width. Blank rows are skipped; ``lines`` are the rows' file
     lines, the header's at ``lines[0]`` and body row i's at ``lines[i + 1]``.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            numbered = [(reader.line_num, row) for row in reader if row]
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    lines, rows = [n for n, _ in numbered], [row for _, row in numbered]
-    if not rows:
+    text = _opened(path, newline="").read()
+    if '"' in text:  # quoted cells: csv.reader's parse
+        reader = csv.reader(StringIO(text, newline=""))
+        numbered = [(reader.line_num, row) for row in reader if row]
+        lines, rows = [n for n, _ in numbered], [row for _, row in numbered]
+        cells, widths = list(chain.from_iterable(rows)), np.array([len(r) for r in rows], int)
+    else:  # one split into lines and one into cells, each line's width from its commas
+        split = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        lines, kept = [n for n, line in enumerate(split, 1) if line], list(filter(None, split))
+        widths = np.fromiter(map(str.count, kept, repeat(",")), int, len(kept)) + 1
+        cells = ",".join(kept).split(",")
+    if not lines:
         raise ParseError(f"{path}: empty file")
-    if header is not None and rows[0] != header:
+    if header is not None and cells[:widths[0]] != header:
         raise ParseError(f"{path}:{lines[0]}: header must be {','.join(header)}")
-    header, body, k = rows[0], rows[1:], text_columns
-    lengths = np.fromiter(map(len, rows), dtype=int, count=len(rows))
-    wrong = np.flatnonzero(lengths != len(header))  # row 0 is the header itself
+    header, k = cells[:widths[0]], text_columns
+    wrong = np.flatnonzero(widths != len(header))  # row 0 is the header itself
     if wrong.size:
-        i, got = wrong[0], lengths[wrong[0]]
+        i, got = wrong[0], widths[wrong[0]]
         missing = f" (no column {header[got]!r})" if got < len(header) else ""
         raise ParseError(f"{path}:{lines[i]}: expected {len(header)} fields, got {got}{missing}")
-    text = np.array([row[:k] for row in body], dtype=str).reshape(len(body), k)
-    tokens = list(chain.from_iterable(row[k:] for row in body))
+    body = np.array(cells[len(header):], dtype=object).reshape(-1, len(header))
+    tokens = body[:, k:].ravel().tolist()
     try:
         numbers = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
     except ValueError:
@@ -191,17 +210,36 @@ def _read_table(path, header=None, text_columns=0) -> tuple[list, np.ndarray, np
                     f"{path}:{lines[i + 1]}: column {header[k + c]!r}: not a number: {tok!r}"
                 ) from exc
         raise
-    return header, text, numbers.reshape(len(body), len(header) - k), lines
+    return header, body[:, :k].astype(str), numbers.reshape(len(body), len(header) - k), lines
+
+
+def _cells(col: np.ndarray) -> tuple[list, np.ndarray | None]:
+    """(cells, None) as csv.writer writes them, or for a dense integer range (table, index)."""
+    kind = col.dtype.kind
+    if kind in "biu" and col.size:
+        values = col.astype(np.uint64 if kind == "u" else np.int64)  # no overflow below
+        lo, hi = int(values.min()), int(values.max())
+        if hi - lo < col.size:
+            return [str(bool(v) if kind == "b" else v) for v in range(lo, hi + 1)], values - lo
+    if kind in "fiu":  # repr is str for ints
+        return list(map(repr, col.tolist())), None
+    return ['"' + s.replace('"', '""') + '"' if _QUOTED(s) else s for s in map(str, col)], None
 
 
 def _write_table(path, header, columns) -> None:
-    """Write equal-length columns as CSV in blocks of rows; floats go out as ``repr``."""
-    columns = [np.asarray(col) for col in columns]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(0, len(columns[0]), 4096):
-            writer.writerows(zip(*(col[i:i + 4096].tolist() for col in columns)))
+    """Write equal-length columns as CSV in one write, in csv.writer's bytes: UTF-8, CRLF rows
+    (but csv.writer quotes a lone empty cell; every table here has two columns or more)."""
+    cells = [_cells(np.asarray(col)) for col in columns]
+    data = (",".join(_cells(np.array(header, dtype=object))[0]) + "\r\n").encode()
+    if all(index is not None for _, index in cells):  # no Python per row: NUL-padded bytes
+        ends = [","] * (len(cells) - 1) + ["\r\n"]
+        parts = [np.array([(s + e).encode() for s in t])[i] for (t, i), e in zip(cells, ends)]
+        table = np.concatenate([p.view(np.uint8).reshape(p.size, -1) for p in parts], axis=1)
+        data += table[table != 0].tobytes()  # the cells hold no NUL byte
+    else:
+        rows = zip(*(t if i is None else np.array(t, dtype=object)[i].tolist() for t, i in cells))
+        data += "\r\n".join([*map(",".join, rows), ""]).encode()
+    Path(path).write_bytes(data)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +281,10 @@ def _grid_of(wl: np.ndarray, path) -> SpectralGrid:
     return SpectralGrid(float(wl[0]), float(steps[0]), int(wl.size))
 
 
-def _onto_grid(wl: np.ndarray, col: np.ndarray, target: SpectralGrid) -> np.ndarray:
-    return np.interp(target.wavelengths, wl, col, left=0.0, right=0.0)
+def _onto_grid(wl: np.ndarray, values: np.ndarray, target: SpectralGrid) -> np.ndarray:
+    if np.array_equal(wl, at := target.wavelengths):  # np.interp would return these as read
+        return values
+    return np.column_stack([np.interp(at, wl, col, left=0.0, right=0.0) for col in values.T])
 
 
 def load_spectral_csv(
@@ -252,13 +292,9 @@ def load_spectral_csv(
 ) -> list[SpectralCurve]:
     """Load every column of a spectral CSV as a curve of the given kind."""
     wl, _names, values = load_spectral_table(path)
-    if target_grid is None:
-        grid = _grid_of(wl, path)
-        return [SpectralCurve(grid, values[:, c], kind) for c in range(values.shape[1])]
-    return [
-        SpectralCurve(target_grid, _onto_grid(wl, values[:, c], target_grid), kind)
-        for c in range(values.shape[1])
-    ]
+    grid = target_grid if target_grid is not None else _grid_of(wl, path)
+    values = values if target_grid is None else _onto_grid(wl, values, grid)
+    return [SpectralCurve(grid, col, kind) for col in values.T]
 
 
 def save_spectral_csv(path, curves, names=None) -> None:
@@ -414,8 +450,7 @@ def save_sensitivity_csv(path, omega: SensitivityMatrix) -> None:
 def load_sensitivity_csv(path, target_grid: SpectralGrid | None = None) -> SensitivityMatrix:
     wl, _names, values = _spectral_table(path, ["wavelength_nm", "omega_r", "omega_g", "omega_b"])
     grid = target_grid if target_grid is not None else _grid_of(wl, path)
-    channels = np.column_stack([_onto_grid(wl, values[:, k], grid) for k in range(3)])
-    return SensitivityMatrix(grid, channels)
+    return SensitivityMatrix(grid, _onto_grid(wl, values, grid))
 
 
 def load_gamut_samples(path) -> tuple[np.ndarray, np.ndarray]:
@@ -528,16 +563,10 @@ def load_config(path) -> tuple[PipelineConfig, SpectralGrid | None]:
 def save_dataset(directory, inp: CalibrationInput) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    save_spectral_csv(
-        directory / "illuminants.csv",
-        inp.illuminants,
-        names=[f"l{i:03d}" for i in range(len(inp.illuminants))],
-    )
-    save_spectral_csv(
-        directory / "reflectances.csv",
-        inp.reflectances,
-        names=[f"r{i:03d}" for i in range(len(inp.reflectances))],
-    )
+    for name, prefix, curves in (("illuminants", "l", inp.illuminants),
+                                 ("reflectances", "r", inp.reflectances)):
+        names = [f"{prefix}{i:03d}" for i in range(len(curves))]
+        save_spectral_csv(directory / f"{name}.csv", curves, names=names)
     stack_files = []
     for i, stack in enumerate(inp.stacks):
         name = f"stack_{i:03d}.csv"
@@ -647,11 +676,7 @@ class RunManifest:
 
 
 def sha256_of(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def utc_now() -> str:

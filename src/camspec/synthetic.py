@@ -6,6 +6,8 @@ checked against; given its seed, everything here is deterministic.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .camera import CameraModel, ResponseCurve, render
@@ -171,13 +173,22 @@ def synthetic_gamut_warp(scale: float = 1.0, strength: float = 0.05, seed: int =
     )
 
 
-def _smooth(values: np.ndarray, sigma_samples: float = 2.0) -> np.ndarray:
-    radius = int(np.ceil(3 * sigma_samples))
-    x = np.arange(-radius, radius + 1, dtype=float)
-    kernel = np.exp(-0.5 * (x / sigma_samples) ** 2)
-    kernel /= kernel.sum()
-    padded = np.pad(values, radius, mode="reflect")
-    return np.convolve(padded, kernel, mode="valid")
+# The reflectance smoothing kernel: a Gaussian of 2 samples' sigma, cut at 3 sigma.
+_SMOOTH_RADIUS = 6
+_SMOOTH_KERNEL = np.exp(-0.5 * (np.arange(-_SMOOTH_RADIUS, _SMOOTH_RADIUS + 1.0) / 2.0) ** 2)
+_SMOOTH_KERNEL /= _SMOOTH_KERNEL.sum()
+
+
+@functools.cache
+def _reflected(n: int) -> np.ndarray:
+    """Indices that pad an n-vector by the radius on both sides as ``np.pad(mode="reflect")``
+    does: mirrored about the end samples, repeatedly if the radius exceeds n - 1."""
+    i = np.arange(-_SMOOTH_RADIUS, n + _SMOOTH_RADIUS) % (2 * n - 2)
+    return np.minimum(i, 2 * n - 2 - i)
+
+
+def _smooth(values: np.ndarray) -> np.ndarray:
+    return np.convolve(values[_reflected(values.size)], _SMOOTH_KERNEL, mode="valid")
 
 
 def generate_synthetic_dataset(

@@ -66,6 +66,18 @@ class TestSpectralCsv:
         assert curves[0].values[0] == 0.0  # 400 nm sample
         assert curves[0].values[-1] == 0.0  # outside support
 
+    def test_target_grid_of_the_same_count_resamples(self, tmp_path):
+        # Only a file on exactly the target wavelengths is used as read.
+        path = tmp_path / "spec.csv"
+        values = np.linspace(0.0, 1.0, GRID.count)
+        io.save_spectral_csv(path, [SpectralCurve(GRID, values, Kind.ILLUMINANT)])
+        shifted = SpectralGrid(GRID.start_nm + 5.0, GRID.step_nm, GRID.count)
+        curve = io.load_spectral_csv(path, Kind.ILLUMINANT, target_grid=shifted)[0]
+        expected = np.interp(shifted.wavelengths, GRID.wavelengths, values, right=0.0)
+        np.testing.assert_array_equal(curve.values, expected)
+        on_grid = io.load_spectral_csv(path, Kind.ILLUMINANT, target_grid=GRID)[0]
+        assert on_grid.values.tobytes() == values.tobytes()
+
 
 class TestStackCsv:
     def test_round_trip(self, tmp_path):
@@ -368,6 +380,102 @@ class TestTableBytes:
         assert tree_digest(a) == tree_digest(b)
 
 
+def _csv_writer_bytes(path, header, columns) -> bytes:
+    """The reference writer: stdlib csv.writer over the columns' Python values."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*(np.asarray(col).tolist() for col in columns)))
+    return path.read_bytes()
+
+
+def _csv_reader_table(path, text_columns):
+    """The reference reader: stdlib csv.reader, blank rows skipped, physical line numbers."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        numbered = [(reader.line_num, row) for row in reader if row]
+    rows = [row for _, row in numbered]
+    text = [row[:text_columns] for row in rows[1:]]
+    numbers = [[float(tok) for tok in row[text_columns:]] for row in rows[1:]]
+    return rows[0], text, numbers, [n for n, _ in numbered]
+
+
+class TestCsvCodec:
+    """The table writer emits csv.writer's bytes and the reader returns csv.reader's
+    cells and line numbers, on the edge cases of both."""
+
+    FLOATS = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e16, 1e-05, 0.1]
+    TEXT = ["plain", "a,b", 'say "hi"', "two\r\nlines", "lf\nonly", "cr\ronly", "ünï©ødé ✓",
+            "", " padded "]
+
+    @pytest.mark.parametrize(
+        "header, columns",
+        [
+            pytest.param(["a", "b"], [np.array([], dtype=float), np.array([], dtype=int)],
+                         id="empty-body"),
+            pytest.param(["x", "n"], [np.array(FLOATS), np.arange(-4, 4)], id="floats"),
+            pytest.param(["x32"], [np.array([0.1, 1 / 3, -2.5], dtype=np.float32)],
+                         id="float32"),
+            pytest.param(["i64", "u64", "dense"],
+                         [np.array([-1, -(2**63), 2**63 - 1, 0]),
+                          np.array([2**64 - 1, 0, 2**63, 7], dtype=np.uint64),
+                          np.array([2**62 + 1, 2**62, 2**62 + 3, 2**62 + 1])],
+                         id="int64"),
+            pytest.param(["neg", "i8", "i16", "u8"],
+                         [np.random.default_rng(1).integers(-40, 5, 300),
+                          np.random.default_rng(2).integers(-100, 101, 300).astype(np.int8),
+                          np.random.default_rng(3).integers(-200, 50, 300).astype(np.int16),
+                          np.random.default_rng(4).integers(0, 256, 300).astype(np.uint8)],
+                         id="narrow-lookup"),
+            pytest.param(["flag", "all_true", "one"],
+                         [np.array([True, False, True, True]), np.ones(4, dtype=bool),
+                          np.array([False, True, False, False])],
+                         id="bool"),
+            pytest.param(["name, quoted", 'q"h', "v"],
+                         [np.array(TEXT, dtype=object), np.array(TEXT[::-1], dtype=object),
+                          np.arange(len(TEXT), dtype=float)],
+                         id="text"),
+            pytest.param(["u"], [np.array(["ü", "a"], dtype=str)], id="unicode-array"),
+        ],
+    )
+    def test_writer_matches_csv_writer(self, tmp_path, header, columns):
+        io._write_table(tmp_path / "ours.csv", header, columns)
+        expected = _csv_writer_bytes(tmp_path / "ref.csv", header, columns)
+        assert (tmp_path / "ours.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize(
+        "content, text_columns",
+        [
+            pytest.param("wl,a,b\n400,1,2\n410,3,4\n", 0, id="lf"),
+            pytest.param("wl,a,b\r\n400,1,2\r\n410,3,4\r\n", 0, id="crlf"),
+            pytest.param("wl,a,b\r400,1,2\r410,3,4\r", 0, id="lone-cr"),
+            pytest.param("wl,a,b\r\n400,1,2\r410,3,4\n420,5,6", 0, id="mixed-no-final-newline"),
+            pytest.param("\n\nwl,a\n\n400,1\r\n\r\n\r410,2\n\n\n", 0, id="blank-lines"),
+            pytest.param("id,v\nü,1\n✓,2", 1, id="non-ascii-text"),
+            pytest.param('"id, name","v ""x"""\r\n"p,1",1.5\r\nq,2\r\n', 1, id="quoted"),
+            pytest.param('id,v\r\n"two\r\nlines",1\r\n\r\n"c\rr",2\n"x",3', 1,
+                         id="quoted-line-breaks"),
+        ],
+    )
+    def test_reader_matches_csv_reader(self, tmp_path, content, text_columns):
+        path = tmp_path / "t.csv"
+        path.write_bytes(content.encode("utf-8"))
+        header, text, numbers, lines = io._read_table(path, text_columns=text_columns)
+        ref_header, ref_text, ref_numbers, ref_lines = _csv_reader_table(path, text_columns)
+        assert header == ref_header
+        assert lines == ref_lines
+        assert text.tolist() == ref_text
+        assert text.shape == (len(ref_text), text_columns)
+        assert numbers.tolist() == ref_numbers
+
+    def test_written_text_reads_back(self, tmp_path):
+        path = tmp_path / "t.csv"
+        io._write_table(path, ["name", "v"], [np.array(self.TEXT, dtype=object),
+                                             np.arange(len(self.TEXT), dtype=float)])
+        header, text, numbers, _lines = io._read_table(path, text_columns=1)
+        assert header == ["name", "v"]
+        assert text[:, 0].tolist() == self.TEXT
+        assert numbers[:, 0].tolist() == list(range(len(self.TEXT)))
 
 
 class TestCli:
@@ -608,6 +716,43 @@ class TestCli:
         assert str(data_dir / "dataset.json") in manifest["inputs"]
         digest = manifest["inputs"][str(data_dir / "dataset.json")]
         assert digest == io.sha256_of(data_dir / "dataset.json")
+
+    def test_manifest_digests_every_file_read(self, tmp_path):
+        data = tmp_path / "data"
+        run_cli("synth", "--out", str(data), "--seed", "1")
+        argv = ["evaluate", "--camera", str(data / "truth_camera.json"),
+                "--dataset", str(data / "dataset.json")]
+        assert run_cli(*argv, "--out", str(tmp_path / "before")) == 0
+        stack = data / "stack_003.csv"
+        rows = stack.read_bytes().decode("utf-8").split("\r\n")
+        cells = rows[5].split(",")
+        cells[-1] = str(int(cells[-1]) ^ 1)  # one pixel code changes by one
+        rows[5] = ",".join(cells)
+        stack.write_bytes("\r\n".join(rows).encode("utf-8"))
+        assert run_cli(*argv, "--out", str(tmp_path / "after")) == 0
+        before, after = (json.loads((tmp_path / d / "manifest.json").read_text())["inputs"]
+                         for d in ("before", "after"))
+        read = ["truth_camera.json", "dataset.json", "illuminants.csv", "reflectances.csv",
+                *(f"stack_{i:03d}.csv" for i in range(8))]
+        assert list(after) == [str(data / name) for name in read]
+        assert after[str(stack)] == io.sha256_of(stack) != before[str(stack)]
+        assert {k: v for k, v in after.items() if k != str(stack)} == {
+            k: v for k, v in before.items() if k != str(stack)}
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline-database"])
+    def test_manifest_digests_scene_and_database_csvs(self, synth_dir, tmp_path, command):
+        if command == "simulate":
+            argv = ["simulate", *_scene(synth_dir, tmp_path)]
+            read = [synth_dir / "truth_camera.json", tmp_path / "scene.json",
+                    synth_dir / "illuminants.csv", synth_dir / "reflectances.csv"]
+        else:
+            db = io.save_database(tmp_path / "db", synthetic_database(GRID, n_entries=8, seed=3))
+            argv = ["pipeline", "--dataset", str(synth_dir / "dataset.json"), "--database", str(db)]
+            read = [db, *(db.parent / f"synthcam-{i:03d}.csv" for i in range(8))]
+        assert run_cli(*argv, "--out", str(tmp_path / "o")) == 0
+        inputs = json.loads((tmp_path / "o" / "manifest.json").read_text())["inputs"]
+        for path in read:
+            assert inputs[str(path)] == io.sha256_of(path)
 
     def test_config_env_override(self, synth_dir, tmp_path, monkeypatch):
         cfg_path = tmp_path / "cfg.json"

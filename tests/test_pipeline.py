@@ -19,7 +19,7 @@ from camspec import (
 )
 from camspec.errors import GridMismatchError, PipelineError
 from camspec.gamut import apply_gamut_map_batch
-from camspec.synthetic import camera_in_basis_span, spanning_database
+from camspec.synthetic import _smooth, camera_in_basis_span, spanning_database
 from camspec.spectral import spectral_product
 from support import eq1_pixel_oracle, gauge_aligned_code_error
 
@@ -49,7 +49,24 @@ def predicted_tristimulus(camera, dataset):
     return np.asarray(rows)
 
 
+def _smooth_with_np_pad(values, sigma_samples=2.0):
+    """The reflectance smoothing as first written: np.pad reflection, kernel built per call."""
+    radius = int(np.ceil(3 * sigma_samples))
+    x = np.arange(-radius, radius + 1, dtype=float)
+    kernel = np.exp(-0.5 * (x / sigma_samples) ** 2)
+    kernel /= kernel.sum()
+    return np.convolve(np.pad(values, radius, mode="reflect"), kernel, mode="valid")
+
+
 class TestGenerateSyntheticDataset:
+    @pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 8, 17, 33, 81])
+    def test_smooth_is_bit_identical_to_np_pad_reflection(self, n):
+        # Grids shorter than the kernel radius (6) reflect more than once.
+        rng = np.random.default_rng(n)
+        for _ in range(200):
+            values = rng.uniform(0.0, 1.0, size=n)
+            assert _smooth(values).tobytes() == _smooth_with_np_pad(values).tobytes()
+
     def test_same_seed_identical(self):
         truth = synthetic_camera(GRID)
         d1 = generate_synthetic_dataset(truth, 3, 6, [0.5, 1.0], seed=11)
