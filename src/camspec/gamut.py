@@ -142,7 +142,11 @@ def apply_gamut_map(gmap: RbfGamutMap, s) -> np.ndarray:
 def apply_gamut_map_batch(gmap: RbfGamutMap, pts: np.ndarray) -> np.ndarray:
     """Evaluate the map at (N, 3) points."""
     pts = np.asarray(pts, dtype=float)
-    phi = _kernel_matrix(pts, gmap.centers, gmap.kernel_width)
+    return _evaluate(gmap, pts, _kernel_matrix(pts, gmap.centers, gmap.kernel_width))
+
+
+def _evaluate(gmap: RbfGamutMap, pts: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The map at (N, 3) points whose kernel matrix against its centers is ``phi``."""
     return pts @ gmap.affine[:, :3].T + gmap.affine[:, 3] + phi @ gmap.weights
 
 
@@ -240,7 +244,7 @@ def fit_gamut_map(
         ridge=float(ridge),
         affine=affine_t.T,
     )
-    err = apply_gamut_map_batch(gmap, s) - e
+    err = _evaluate(gmap, s, phi) - e
     return GamutFitResult(
         map=gmap,
         training_rms=np.sqrt((err**2).mean(axis=0)),

@@ -17,7 +17,7 @@ import re
 import typing
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from io import BytesIO, StringIO, TextIOWrapper
+from io import StringIO
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -123,15 +123,17 @@ def _typed(doc: dict, key: str, kind):
     return value
 
 
-def _opened(path, newline=None) -> TextIOWrapper:
-    """``open(path, newline=newline, encoding="utf-8")`` from one read; ParseError if unreadable."""
+def _opened(path, newline=None) -> StringIO:
+    """``open(path, newline=newline, encoding="utf-8")`` from one read; ParseError if
+    unreadable or not UTF-8."""
     try:
         raw = Path(path).read_bytes()
-    except OSError as exc:
+        text = raw.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if _read_digests is not None:
         _read_digests[str(Path(path))] = hashlib.sha256(raw).hexdigest()
-    return TextIOWrapper(BytesIO(raw), encoding="utf-8", newline=newline)
+    return StringIO(text, newline=newline)
 
 
 def write_json(path, doc: dict) -> None:

@@ -314,9 +314,10 @@ def evaluate(
     if validation.grid != cam.grid:
         raise GridMismatchError("validation data is not on the camera grid")
     stacks = validation.stacks
+    rows = radiance_rows(validation.illuminants, validation.reflectances)
     predicted = np.concatenate([
-        render(cam, radiance_rows([light], validation.reflectances), stack.exposures).reshape(-1, 3)
-        for light, stack in zip(validation.illuminants, stacks)
+        render(cam, p, stack.exposures).reshape(-1, 3)
+        for p, stack in zip(rows.reshape(len(stacks), -1, cam.grid.count), stacks)
     ])
     measured = np.concatenate([s.samples.reshape(-1, 3) for s in stacks])
     saturated = ~np.concatenate([s.triplet_valid.reshape(-1) for s in stacks])

@@ -12,8 +12,9 @@ banded LDL^T and a P x P capacitance (Woodbury; Golub & Van Loan, *Matrix
 Computations*, 4.3), O(2^bits P + P^3) time and O(2^bits P) memory per
 channel. Otherwise each patch's ln E goes (variable projection) and the
 2^bits code unknowns are solved densely, O((2^bits)^3) time and
-O((2^bits)^2) memory. One refinement step (Bjorck, *Numerical Methods for
-Least Squares Problems*, 1996) follows either solve, and its size, bounded
+O((2^bits)^2) memory. Once every channel is found solvable, each path
+builds its system once, for the solve and one refinement step (Bjorck,
+*Numerical Methods for Least Squares Problems*, 1996), whose size, bounded
 by ``CERTIFICATE_BOUND``, certifies the table.
 """
 
@@ -110,11 +111,11 @@ def _smoothness_bands(sw: np.ndarray) -> list[np.ndarray]:
     return [np.convolve(q, [1.0, 4.0, 1.0], "same"), -2.0 * (q[:-1] + q[1:]), q[1:-1]]
 
 
-def _band_factor(sw: np.ndarray, code_w2: np.ndarray, anchor: int) -> np.ndarray:
+def _band_factor(sw: np.ndarray, code_w2: np.ndarray, anchor: int):
     """L D L^T of B, the smoothness Gram plus diag(w2) with the anchor's row
-    and column the identity, for each row w2 of ``code_w2``. Returns L's
-    subdiagonals 1 and 2, each padded at the front, and D's diagonal,
-    stacked as (3, codes, channels, 1)."""
+    and column the identity, for each row w2 of ``code_w2``: the forward
+    ``_sweep`` of L's subdiagonals, D's diagonal and the backward sweep, each
+    broadcasting against right-hand sides (codes, channels, columns)."""
     diag, sub1, sub2 = _smoothness_bands(sw)
     sub1[anchor - 1 : anchor + 1] = sub2[anchor - 2 : anchor + 1 : 2] = 0.0
     sub1, sub2 = [0.0, *sub1.tolist()], [0.0, 0.0, *sub2.tolist()]  # B[i, i-1], B[i, i-2]
@@ -131,40 +132,44 @@ def _band_factor(sw: np.ndarray, code_w2: np.ndarray, anchor: int) -> np.ndarray
             rows.append((ai, bi, di))
             a1, d1, d2 = ai, di, d1
         factor.append(list(zip(*rows)))
-    return np.array(factor).transpose(1, 2, 0)[..., None]
+    a, b, d = np.array(factor).transpose(1, 2, 0)[..., None]
+    return _sweep(a, b), d, _sweep(np.roll(a[::-1], 1, axis=0), np.roll(b[::-1], 2, axis=0))
 
 
-def _unit_sweep(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """r[i] -= a[i] r[i - 1] + b[i] r[i - 2] for i = 1, 2, ..., in place
-    (a[0] = b[0] = b[1] = 0).
-
-    The rows go in about sqrt(n) blocks, so the Python loops run about
-    3 sqrt(n) times: every block first sweeps from a zero start, all blocks
-    at once; then each block, in turn, adds its response to the two rows
-    before it, from unit impulses swept alongside.
-    """
-    n = r.shape[0]
+def _sweep(a: np.ndarray, b: np.ndarray):
+    """The recurrence r[i] -= a[i] r[i - 1] + b[i] r[i - 2] for i = 1, 2, ...
+    (a[0] = b[0] = b[1] = 0), cut into about sqrt(n) blocks of rows: a and b
+    by block, and h, each block's response to unit impulses at the two rows
+    before it, one per column."""
+    n = a.shape[0]
     k = 1 << (n.bit_length() // 2)  # n is a power of two
-    z, a, b = (v.reshape(n // k, k, *v.shape[1:]) for v in (r, a, b))
-    # Rows -2 and -1 of each block start as unit impulses, one per column.
+    a, b = (v.reshape(n // k, k, *v.shape[1:]) for v in (a, b))
     h = np.zeros((n // k, k + 2, 2, *a.shape[2:]))
     h[:, 0, 1] = h[:, 1, 0] = 1.0
     for j in range(k):
         h[:, j + 2] -= a[:, j, None] * h[:, j + 1] + b[:, j, None] * h[:, j]
+    return a, b, h
+
+
+def _unit_sweep(r: np.ndarray, sweep) -> None:
+    """Run a ``_sweep`` on r in place: every block sweeps from a zero start,
+    all blocks at once; then each block, in turn, adds its impulse responses
+    times the two rows before it."""
+    a, b, h = sweep
+    z = r.reshape(*a.shape[:2], *r.shape[1:])
     z[:, 1] -= a[:, 1] * z[:, 0]
-    for j in range(2, k):
+    for j in range(2, a.shape[1]):
         z[:, j] -= a[:, j] * z[:, j - 1] + b[:, j] * z[:, j - 2]
-    for block in range(1, n // k):
+    for block in range(1, a.shape[0]):
         z[block] += h[block, 2:, 0] * z[block - 1, -1] + h[block, 2:, 1] * z[block - 1, -2]
 
 
-def _band_solve(factor: np.ndarray, r: np.ndarray) -> None:
-    """Overwrite r with (L D L^T)^-1 r; ``factor`` stacks L's subdiagonals
-    and D's diagonal from ``_band_factor``, each broadcasting against r."""
-    a, b, d = factor
-    _unit_sweep(r, a, b)
+def _band_solve(factor, r: np.ndarray) -> None:
+    """Overwrite r with (L D L^T)^-1 r for a ``_band_factor``."""
+    forward, d, backward = factor
+    _unit_sweep(r, forward)
     r /= d
-    _unit_sweep(r[::-1], np.roll(a[::-1], 1, axis=0), np.roll(b[::-1], 2, axis=0))
+    _unit_sweep(r[::-1], backward)
 
 
 class _ChannelSystem:
@@ -228,39 +233,41 @@ class _ChannelSystem:
         return np.einsum("pe,pe...->p...", self.slot_w2, v[self.slot_code])
 
 
-def _code_block_solver(systems: list[_ChannelSystem], first: list[np.ndarray]):
+def _dense_solver(systems: list[_ChannelSystem]):
+    """A function that solves G x = r for right-hand sides, one per system,
+    with every system's G stacked into one ``np.linalg.solve``."""
+    grams = np.stack([s.gram() for s in systems])
+    return lambda rs: np.linalg.solve(grams, np.stack(rs)[..., None])[..., 0]
+
+
+def _code_block_solver(systems: list[_ChannelSystem]):
     """Solve G x = r by eliminating the code block instead of the patch
     block: G^-1 r = u + Y K^-1 C^T u, where u = B^-1 r, Y = B^-1 C and
     K = W - C^T Y is the P x P capacitance (Woodbury). One banded LDL^T of B
-    per system; each banded pass runs over every system at once, and the
-    first one gives u for the right-hand sides ``first`` together with Y.
+    per system; each banded pass runs over every system at once.
 
-    Returns the solutions for ``first`` and a function that solves for
-    further right-hand sides, one per system.
+    Returns a function that solves for right-hand sides, one per system;
+    each costs two banded sweeps and the P x P solves.
     """
-    n = first[0].size
-    factor = _band_factor(systems[0].sw, np.array([s.code_w2 for s in systems]), systems[0].anchor)
-    block = np.zeros((n, len(systems), 1 + max(s.n_patches for s in systems)))
-    for j, (s, r) in enumerate(zip(systems, first)):
-        block[:, j, 0] = r
-        np.add.at(block[:, j, 1:], (s.codes, s.patch), s.w2)  # C, then its anchor row zeroed
-        block[s.anchor, j, 1:] = 0.0
+    s0 = systems[0]
+    factor = _band_factor(s0.sw, np.array([s.code_w2 for s in systems]), s0.anchor)
+    block = np.zeros((s0.code_w2.size, len(systems), max(s.n_patches for s in systems)))
+    for j, s in enumerate(systems):
+        np.add.at(block[:, j], (s.codes, s.patch), s.w2)  # C, then its anchor row zeroed
+        block[s.anchor, j] = 0.0
     _band_solve(factor, block)
-    ys = [block[:, j, 1 : 1 + s.n_patches] for j, s in enumerate(systems)]
+    ys = [block[:, j, : s.n_patches] for j, s in enumerate(systems)]
     caps = [np.diag(s.w2_patch) - s.coupling_t(y) for s, y in zip(systems, ys)]
-
-    def finish(u):
-        return [
-            u[:, j] + y @ np.linalg.solve(cap, s.coupling_t(u[:, j]))
-            for j, (s, y, cap) in enumerate(zip(systems, ys, caps))
-        ]
 
     def solve(rs):
         u = np.stack(rs, axis=1)[:, :, None]
         _band_solve(factor, u)
-        return finish(u[:, :, 0])
+        return [
+            u[:, j, 0] + y @ np.linalg.solve(cap, s.coupling_t(u[:, j, 0]))
+            for j, (s, y, cap) in enumerate(zip(systems, ys, caps))
+        ]
 
-    return finish(block[:, :, 0]), solve
+    return solve
 
 
 def estimate_response(
@@ -286,16 +293,17 @@ def estimate_response(
     passes serve all such channels at once. A channel with more patches
     eliminates each patch's ln E, a w^2-weighted mean for fixed g, and
     solves the 2^bits code unknowns densely, O((2^bits)^3) time and
-    O((2^bits)^2) memory. One refinement step against the least-squares
-    rows follows the solve; a step above ``CERTIFICATE_BOUND`` raises
-    ``RankDeficiencyError``. Smoothness rows fill codes the data never
-    reaches by curvature-minimizing extension; the final table is
-    projected to be strictly increasing.
+    O((2^bits)^2) memory. Each path builds G or the banded factor once, for
+    the solve and one refinement step against the least-squares rows; a step
+    above ``CERTIFICATE_BOUND`` raises ``RankDeficiencyError``. Smoothness rows
+    fill codes the data never reaches by curvature-minimizing extension;
+    the final table is projected to be strictly increasing.
 
     A system without a unique solution raises ``UnderdeterminedError``
-    naming the channels: ``smoothness_lambda = 0`` (codes 0 and 2^bits - 1
-    carry zero hat weight, so no data reach them), or data in which no
-    patch reaches two codes, which leaves the slope free.
+    naming the channels, before anything is factored: ``smoothness_lambda
+    = 0`` (codes 0 and 2^bits - 1 carry zero hat weight, so no data reach
+    them), or data in which no patch reaches two codes, which leaves the
+    slope free.
     """
     if smoothness_lambda < 0:
         raise ValueError("smoothness_lambda must be nonnegative")
@@ -324,7 +332,7 @@ def estimate_response(
     sw = smoothness_lambda * w_of[1:-1]
     log_e = np.log(stack.exposures)
 
-    systems: dict[int, _ChannelSystem] = {}
+    systems: list[_ChannelSystem] = []
     deficient: dict[str, list[str]] = {}
     for k in range(3):
         pj, ei = np.nonzero(usable)
@@ -341,47 +349,39 @@ def estimate_response(
         elif np.unique(pj * n + codes).size == patches.size:
             reason = "no patch reaches two codes, so the slope is free; add exposures"
         else:
-            reason = None
-        if reason is not None:
-            deficient.setdefault(reason, []).append(CHANNEL_NAMES[k])
+            systems.append(
+                _ChannelSystem(codes, pj, ei, w, log_e[ei], stack.n_exposures, sw, anchor)
+            )
             continue
-        systems[k] = _ChannelSystem(codes, pj, ei, w, log_e[ei], stack.n_exposures, sw, anchor)
+        deficient.setdefault(reason, []).append(CHANNEL_NAMES[k])
+    if deficient:
+        raise UnderdeterminedError("; ".join(
+            f"response system underdetermined for channel(s) {', '.join(names)}: {reason}"
+            for reason, names in deficient.items()
+        ))
 
     # A channel with fewer active patches than free codes eliminates its
     # code block; the others solve G densely.
-    grams = {k: s.gram() for k, s in systems.items() if s.n_patches >= n - 1}
-    by_codes = [k for k in systems if k not in grams]
+    paths: dict = {}
+    for k, s in enumerate(systems):
+        build = _dense_solver if s.n_patches >= n - 1 else _code_block_solver
+        paths.setdefault(build, []).append(k)
+    solvers = [(ks, build([systems[k] for k in ks])) for build, ks in paths.items()]
     x = np.zeros((3, n))
-    step = np.zeros((3, n))
-    for refinement in (False, True):  # solve, then refine once
-        rhs = {k: s.gradient(x[k]) for k, s in systems.items()}
-        for k, gram in grams.items():
-            step[k] = np.linalg.solve(gram, rhs[k])
-        if by_codes and refinement:
-            step[by_codes] = solve([rhs[k] for k in by_codes])
-        elif by_codes:
-            step[by_codes], solve = _code_block_solver(
-                [systems[k] for k in by_codes], [rhs[k] for k in by_codes]
-            )
+    for _ in range(2):  # solve, then refine once
+        step = np.zeros((3, n))
+        for ks, solve in solvers:
+            step[ks] = solve([systems[k].gradient(x[k]) for k in ks])
         x += step
 
-    tables = np.empty((3, n))
-    for k in systems:
-        certificate = float(np.abs(step[k]).max())
+    for k, certificate in enumerate(np.abs(step).max(axis=1)):
         if not certificate <= CERTIFICATE_BOUND:  # also refuses NaN
             raise RankDeficiencyError(
                 f"response solve for channel {CHANNEL_NAMES[k]} failed its certificate: "
                 f"refinement step {certificate:.3g} > {CERTIFICATE_BOUND:g} in ln g^-1; "
                 "lower smoothness_lambda"
             )
-        tables[k] = strictly_increasing(x[k])
-
-    if deficient:
-        raise UnderdeterminedError("; ".join(
-            f"response system underdetermined for channel(s) {', '.join(names)}: {reason}"
-            for reason, names in deficient.items()
-        ))
-    return ResponseCurve(stack.bit_depth, tables)
+    return ResponseCurve(stack.bit_depth, np.array([strictly_increasing(v) for v in x]))
 
 
 @dataclass(frozen=True)

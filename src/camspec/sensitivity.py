@@ -149,17 +149,27 @@ class SensitivityFit:
     residual_rms: np.ndarray  # (3,)
 
 
-def _fit_channel(
-    p: np.ndarray, y: np.ndarray, basis_k: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    a = p @ basis_k.T  # (N, d)
-    g = basis_k.T  # constraint: reconstructed curve >= 0 at every grid index
-    result = lsi(a, y, g)
-    omega_col = basis_k.T @ result.x
-    # The solver certifies violations <= 1e-10; flush that dust to zero.
-    omega_col = np.where(omega_col < 0, 0.0, omega_col)
-    rms = result.residual_norm / np.sqrt(len(y))
-    return result.x, omega_col, rms
+def _fit_rows(grid: SpectralGrid, p, i_lin, basis: SensitivityBasis) -> SensitivityFit:
+    """``estimate_constrained`` on the rows (p, i_lin), every one of them valid."""
+    if grid != basis.grid:
+        raise ValueError("measurements and basis are on different grids")
+    if p.shape[0] < basis.d:
+        raise UnderdeterminedError(
+            f"constrained fit needs >= {basis.d} valid rows, got {p.shape[0]}"
+        )
+    coeffs = np.empty((3, basis.d))
+    cols = np.empty((grid.count, 3))
+    rms = np.empty(3)
+    for k in range(3):
+        b_t = basis.channel_basis(k).T
+        # The constraint rows are B^T: the curve is >= 0 at every grid index.
+        result = lsi(p @ b_t, i_lin[:, k], b_t)
+        coeffs[k] = result.x
+        # The solver certifies violations <= 1e-10; flush that dust to zero.
+        omega_col = b_t @ result.x
+        cols[:, k] = np.where(omega_col < 0, 0.0, omega_col)
+        rms[k] = result.residual_norm / np.sqrt(p.shape[0])
+    return SensitivityFit(coeffs, SensitivityMatrix(grid, cols), rms)
 
 
 def estimate_constrained(m: MeasurementSet, basis: SensitivityBasis) -> SensitivityFit:
@@ -168,19 +178,7 @@ def estimate_constrained(m: MeasurementSet, basis: SensitivityBasis) -> Sensitiv
     Per channel: min over c of ||(P B^T) c - I|| subject to (B^T c) >= 0
     elementwise, solved by the active-set machinery in ``solvers``.
     """
-    if m.grid != basis.grid:
-        raise ValueError("measurements and basis are on different grids")
-    p, i_lin = m.valid_rows()
-    if p.shape[0] < basis.d:
-        raise UnderdeterminedError(
-            f"constrained fit needs >= {basis.d} valid rows, got {p.shape[0]}"
-        )
-    coeffs = np.empty((3, basis.d))
-    cols = np.empty((m.grid.count, 3))
-    rms = np.empty(3)
-    for k in range(3):
-        coeffs[k], cols[:, k], rms[k] = _fit_channel(p, i_lin[:, k], basis.channel_basis(k))
-    return SensitivityFit(coeffs, SensitivityMatrix(m.grid, cols), rms)
+    return _fit_rows(m.grid, *m.valid_rows(), basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,28 +206,22 @@ def cross_validate(
     """
     if folds < 2:
         raise ValueError(f"need >= 2 folds, got {folds}")
-    valid_idx = np.flatnonzero(m.valid)
-    if valid_idx.size < folds:
-        raise UnderdeterminedError(
-            f"cross-validation needs >= {folds} valid rows, got {valid_idx.size}"
-        )
+    p, i_lin = m.valid_rows()
+    n = p.shape[0]
+    if n < folds:
+        raise UnderdeterminedError(f"cross-validation needs >= {folds} valid rows, got {n}")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(valid_idx.size)
-    fold_of = np.empty(valid_idx.size, dtype=int)
-    fold_of[order] = np.arange(valid_idx.size) % folds
+    fold_of = np.empty(n, dtype=int)
+    fold_of[rng.permutation(n)] = np.arange(n) % folds
 
     omegas = np.empty((folds, m.grid.count, 3))
     fold_rmse = np.empty((folds, 3))
     for f in range(folds):
-        train = valid_idx[fold_of != f]
-        held = valid_idx[fold_of == f]
-        sub = MeasurementSet(
-            m.grid, m.p[train], m.i_linear[train], np.ones(train.size, dtype=bool)
-        )
-        fit = estimate_constrained(sub, basis)
+        held = fold_of == f
+        fit = _fit_rows(m.grid, p[~held], i_lin[~held], basis)
         omegas[f] = fit.omega_hat.channels
-        pred = m.p[held] @ fit.omega_hat.channels
-        fold_rmse[f] = np.sqrt(((pred - m.i_linear[held]) ** 2).mean(axis=0))
+        pred = p[held] @ fit.omega_hat.channels
+        fold_rmse[f] = np.sqrt(((pred - i_lin[held]) ** 2).mean(axis=0))
     mu = SensitivityMatrix(m.grid, omegas.mean(axis=0))
     sigma = omegas.std(axis=0)
     return CrossValidationReport(mu, sigma, fold_rmse, folds, seed)

@@ -697,6 +697,26 @@ class TestCli:
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["type"] == "ParseError"
 
+    @pytest.mark.parametrize("command", ["fit-response", "evaluate"])
+    def test_input_that_is_not_utf8_exits_3_naming_the_file(
+        self, synth_dir, tmp_path, capsys, command
+    ):
+        if command == "fit-response":
+            bad = tmp_path / "stack.csv"
+            raw = (synth_dir / "stack_000.csv").read_bytes().replace(b"\r\n0,", b"\r\n\xff,", 1)
+            argv = ["--stack", str(bad)]
+        else:
+            bad = tmp_path / "camera.json"
+            raw = (synth_dir / "truth_camera.json").read_bytes().replace(
+                b'"after_gamut"', b'"after_gamut\xff"')
+            argv = ["--camera", str(bad), "--dataset", str(synth_dir / "dataset.json")]
+        assert b"\xff" in raw
+        bad.write_bytes(raw)
+        assert run_cli(command, *argv, "--out", str(tmp_path / "o")) == 3
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ParseError"
+        assert err["message"].startswith(f"{bad}: 'utf-8' codec can't decode byte 0xff")
+
     def test_missing_input_file_exits_3(self, tmp_path, capsys):
         code = run_cli(
             "evaluate", "--camera", str(tmp_path / "nope.json"),

@@ -10,6 +10,7 @@ from camspec import (
     estimate_response,
     synthetic_camera,
 )
+from camspec import response
 from camspec.errors import RankDeficiencyError, UnderdeterminedError
 from support import (
     cluster_target_codes,
@@ -241,6 +242,31 @@ class TestAgainstDenseOracle:
         with pytest.raises(RankDeficiencyError, match=r"failed its certificate: refinement step"):
             estimate_response(request.getfixturevalue(fixture), smoothness_lambda=1e8)
 
+    @pytest.mark.parametrize("fixture, builder", [("synthetic_8bit_wide", "_dense_solver"),
+                                                  ("synthetic_10bit", "_code_block_solver")])
+    def test_certificate_refuses_a_perturbed_first_solve(self, request, monkeypatch,
+                                                         fixture, builder):
+        # The first solve's blue table is off by 1e-3 at code 1. The
+        # refinement step takes exactly that back, so the certificate reads 1e-3.
+        build = getattr(response, builder)
+
+        def perturbed(systems):
+            solve, calls = build(systems), []
+
+            def first_off(rs):
+                out = solve(rs)
+                if not calls:
+                    out[-1][1] += 1e-3
+                calls.append(rs)
+                return out
+
+            return first_off
+
+        monkeypatch.setattr(response, builder, perturbed)
+        with pytest.raises(RankDeficiencyError, match=r"^response solve for channel b failed its "
+                           r"certificate: refinement step 0\.001 > 1e-05 in ln g\^-1"):
+            estimate_response(request.getfixturevalue(fixture))
+
 
 class TestPatchElimination:
     """Patches with too few usable samples carry no information once their
@@ -296,6 +322,18 @@ class TestPatchElimination:
             match=r"^response estimation needs >= 2 distinct exposures, got 1$",
         ):
             estimate_response(ExposureStack(np.array([1.0, 1.0]), np.full((4, 2, 3), 100)))
+
+    def test_refusal_comes_before_any_solver_is_built(self, monkeypatch):
+        def no_solver(systems):
+            raise AssertionError("a solver was built for an underdetermined stack")
+
+        monkeypatch.setattr(response, "_dense_solver", no_solver)
+        monkeypatch.setattr(response, "_code_block_solver", no_solver)
+        samples = np.full((6, 2, 3), 120)
+        samples[:, 1, :2] = 160
+        samples[:, :, 2] = 0  # blue: usable (sat_lo = 0) but zero hat weight
+        with pytest.raises(UnderdeterminedError, match=r"channel\(s\) b: not enough"):
+            estimate_response(ExposureStack(np.array([1.0, 2.0]), samples, 8, 0, 230))
 
 
 class TestReciprocity:

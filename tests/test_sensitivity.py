@@ -12,7 +12,11 @@ from camspec import (
     estimate_pinv,
     synthetic_database,
 )
-from camspec.errors import RankDeficiencyError, UnderdeterminedError
+from camspec.errors import (
+    ConvergenceError,
+    RankDeficiencyError,
+    UnderdeterminedError,
+)
 from camspec.synthetic import spanning_database
 from support import smooth_spectra
 
@@ -39,6 +43,15 @@ def measurement_set(omega, n_rows, seed, noise=0.0):
     if noise:
         i_lin = i_lin * (1.0 + noise * rng.normal(size=i_lin.shape))
     return MeasurementSet(GRID, p, i_lin, np.ones(n_rows, dtype=bool))
+
+
+def _cv_outcome(m, basis) -> dict:
+    """``cross_validate``'s report arrays, or the type and message of its error."""
+    try:
+        report = cross_validate(m, basis)
+    except ConvergenceError as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    return {"mu": report.mu.channels, "sigma": report.sigma, "fold_rmse": report.fold_rmse}
 
 
 class TestBuildBasis:
@@ -215,6 +228,13 @@ class TestEstimateConstrained:
         np.testing.assert_array_equal(
             fit_masked.omega_hat.channels, fit_removed.omega_hat.channels
         )
+        # On this set one fold meets the lsi verification fault that the
+        # nnls fix (ROADMAP item 1) mends; masked rows must not change
+        # that outcome either.
+        cv_masked, cv_removed = (_cv_outcome(m, basis) for m in (masked, removed))
+        assert cv_masked.keys() == cv_removed.keys()
+        for key, value in cv_masked.items():
+            np.testing.assert_array_equal(value, cv_removed[key])
 
     def test_residual_monotone_in_basis_dimension(self, span):
         db, parents, _ = span
