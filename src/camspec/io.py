@@ -26,11 +26,7 @@ import numpy as np
 from .camera import CameraModel, ResponseCurve
 from .errors import ParseError, SchemaVersionError
 from .gamut import RbfGamutMap
-from .pipeline import (
-    CalibrationInput,
-    EvaluationReport,
-    PipelineConfig,
-)
+from .pipeline import CalibrationInput, EvaluationReport, PipelineConfig
 from .response import ExposureStack
 from .sensitivity import MeasurementSet, SensitivityDatabase
 from .spectral import Kind, SensitivityMatrix, SpectralCurve, SpectralGrid

@@ -4,7 +4,8 @@ Estimating the sensitivity, response, and gamut map simultaneously is
 ill-posed, so stage 1 restricts itself to inner-gamut samples (where the
 gamut map is close to identity) and recovers the response and sensitivity
 there; stage 2 then fits the gamut map over every unsaturated sample using
-the stage-1 estimates to synthesize its inputs and targets.
+the stage-1 estimates to synthesize its inputs and targets. The camera is
+built from those fits alone; nothing here cross-validates them.
 
 Everything here is deterministic given the input data, the config, and
 the seed.
@@ -22,13 +23,11 @@ from .errors import GridMismatchError, PipelineError
 from .gamut import fit_gamut_map, partition_gamut
 from .response import ExposureStack, ReciprocityReport, check_exposure_reciprocity, estimate_response
 from .sensitivity import (
-    CrossValidationReport,
     MeasurementSet,
     SensitivityBasis,
     SensitivityDatabase,
     SensitivityFit,
     build_basis,
-    cross_validate,
     estimate_constrained,
 )
 from .spectral import Kind, SpectralGrid, radiance_rows
@@ -86,7 +85,8 @@ class PipelineConfig:
 
     The thresholds flag saturation when data is generated or loaded without
     its own; datasets that already carry flags keep them. None means
-    ``default_thresholds`` at the data's bit depth.
+    ``default_thresholds`` at the data's bit depth. ``folds`` serves only the
+    cross-validation of ``fit-sensitivity``; ``run_two_stage`` ignores it.
     """
 
     alpha: float = 0.6
@@ -108,7 +108,6 @@ class Stage1Diagnostics:
     inner_count: int
     outer_count: int
     reciprocity: ReciprocityReport
-    sensitivity_cv: CrossValidationReport
 
 
 @dataclass(frozen=True)
@@ -168,15 +167,14 @@ def fit_sensitivity(
     cfg: PipelineConfig,
     database: SensitivityDatabase | None = None,
     basis: SensitivityBasis | None = None,
-) -> tuple[SensitivityBasis, SensitivityFit, CrossValidationReport]:
+) -> tuple[SensitivityBasis, SensitivityFit]:
     """The sensitivity step: a basis (``basis``, else built from ``database``, else
-    from the stand-in synthetic database), the constrained fit and its cross-validation."""
+    from the stand-in synthetic database) and the constrained fit on it."""
     if basis is None:
         from .synthetic import synthetic_database  # late: synthetic imports this module
         db = database or synthetic_database(mset.grid, cfg.database_entries, cfg.seed)
         basis = build_basis(db, cfg.basis_dim)
-    fit = estimate_constrained(mset, basis)
-    return basis, fit, cross_validate(mset, basis, folds=cfg.folds, seed=cfg.seed)
+    return basis, estimate_constrained(mset, basis)
 
 
 @contextmanager
@@ -201,9 +199,9 @@ def run_two_stage(
     Stage 1 bootstraps the gamut partition with a provisional gamma-2.2
     linearization, fits the response on inner-gamut samples, re-partitions
     once with the fitted response, refits, and estimates the sensitivity
-    on the refined inner set. Stage 2 fits the gamut map over all
-    unsaturated samples, mapping predicted raw tristimulus values onto the
-    response-linearized measurements.
+    on the refined inner set with one constrained fit, not cross-validated.
+    Stage 2 fits the gamut map over all unsaturated samples, mapping
+    predicted raw tristimulus values onto the response-linearized measurements.
     """
     cfg = cfg or PipelineConfig()
     merged, p_rows = _merge_stacks(inp)
@@ -229,7 +227,7 @@ def run_two_stage(
             _linearized(merged, g_hat, iq, ii),
             np.ones(iq.size, dtype=bool),
         )
-        _, fit, cv = fit_sensitivity(mset, cfg, database, basis)
+        _, fit = fit_sensitivity(mset, cfg, database, basis)
 
     with _stage("2 (gamut map)"):
         s_pred = p_rows[vq] @ fit.omega_hat.channels
@@ -256,7 +254,6 @@ def run_two_stage(
         inner_count=int(mask.sum()),
         outer_count=int(vq.size - mask.sum()),
         reciprocity=reciprocity,
-        sensitivity_cv=cv,
     )
     stage2 = Stage2Diagnostics(gfit.training_rms, gfit.training_max_abs)
     return EstimatedCamera(camera, stage1, stage2)

@@ -176,8 +176,12 @@ def strictly_increasing(y: np.ndarray, min_step: float = 1e-9) -> np.ndarray:
 
     The sweep perturbs pooled (flat) runs by multiples of ``min_step``,
     which is far below every tolerance the response tables are used at.
+    Input that already keeps the gap is returned as a copy; NaN takes the full path.
     """
-    out = isotonic_projection(y).copy()
+    y = np.asarray(y, dtype=float)
+    if np.all(y[1:] >= y[:-1] + min_step):
+        return y.copy()
+    out = isotonic_projection(y)
     for i in range(1, out.size):
         floor = out[i - 1] + min_step
         if out[i] < floor:

@@ -609,6 +609,48 @@ class TestCli:
         assert stage1["reciprocity_mean_abs"] == report.mean_abs_deviation.tolist()
         assert stage1["reciprocity_max_abs"] == report.max_abs_deviation.tolist()
 
+    def test_diagnostics_stage1_has_no_cross_validation(self, tmp_path):
+        data_dir = tmp_path / "data"
+        run_cli("synth", "--out", str(data_dir), "--seed", "7")
+        out = tmp_path / "fit"
+        assert run_cli("pipeline", "--dataset", str(data_dir / "dataset.json"),
+                       "--out", str(out)) == 0
+        stage1 = json.loads((out / "diagnostics.json").read_text())["stage1"]
+        assert list(stage1) == ["inner_count", "outer_count", "reciprocity_max_abs",
+                                "reciprocity_mean_abs", "reciprocity_n_pairs"]
+
+    def test_fit_sensitivity_reports_cross_validation(self, tmp_path):
+        from camspec import build_basis, cross_validate
+        from camspec.synthetic import spanning_database
+        from support import smooth_spectra
+
+        db, parents = spanning_database(GRID, d=6)
+        rng = np.random.default_rng(5)
+        mix = np.stack([rng.uniform(0.2, 1, 6) @ parents[k] for k in range(3)], axis=1)
+        p = smooth_spectra(rng, 30, GRID.wavelengths)
+        m = MeasurementSet(GRID, p, p @ mix * rng.uniform(0.98, 1.02, (30, 3)),
+                           np.ones(30, dtype=bool))
+        radiance, table = io.save_measurement_set(tmp_path, m)
+        db_manifest = io.save_database(tmp_path / "db", db)
+        cfg = PipelineConfig(basis_dim=5, folds=6, seed=8)
+        io.save_config(tmp_path / "cfg.json", cfg)
+        out = tmp_path / "fit"
+        assert run_cli(
+            "fit-sensitivity", "--radiance", str(radiance), "--measurements", str(table),
+            "--database", str(db_manifest), "--config", str(tmp_path / "cfg.json"),
+            "--out", str(out),
+        ) == 0
+        mset = io.load_measurement_set(radiance, table)
+        basis = build_basis(io.load_database(db_manifest, GRID), cfg.basis_dim)
+        cv = cross_validate(mset, basis, folds=cfg.folds, seed=cfg.seed)
+        assert json.loads((out / "fit.json").read_text())["cross_validation"] == {
+            "folds": 6,
+            "seed": 8,
+            "mu": cv.mu.channels.tolist(),
+            "sigma": cv.sigma.tolist(),
+            "fold_rmse": cv.fold_rmse.tolist(),
+        }
+
     def test_fit_sensitivity_underdetermined_is_machine_readable(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         m = MeasurementSet(

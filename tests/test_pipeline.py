@@ -153,6 +153,43 @@ class TestRunTwoStageIdentityGamut:
         assert report.unsaturated.rmse.max() < 1.0
 
 
+class TestRunTwoStageSensitivityFit:
+    """Stage 1 fits the sensitivity once; cross-validation is not part of the fit."""
+
+    def test_one_constrained_fit_per_channel(self, identity_setup, monkeypatch):
+        import camspec.sensitivity
+
+        _, data, _, basis = identity_setup
+        calls = []
+        lsi = camspec.sensitivity.lsi
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return lsi(*args, **kwargs)
+
+        monkeypatch.setattr(camspec.sensitivity, "lsi", counted)
+        run_two_stage(data, PipelineConfig(), basis=basis)
+        assert len(calls) == 3
+
+    def test_folds_do_not_change_the_camera(self, identity_setup):
+        _, data, est, basis = identity_setup
+        one = run_two_stage(data, PipelineConfig(folds=1), basis=basis)
+        pairs = [
+            (one.camera.omega.channels, est.camera.omega.channels),
+            (one.camera.response.ln_e, est.camera.response.ln_e),
+            (one.camera.gamut.centers, est.camera.gamut.centers),
+            (one.camera.gamut.weights, est.camera.gamut.weights),
+            (one.camera.gamut.affine, est.camera.gamut.affine),
+            (one.camera.gamut.kernel_width, est.camera.gamut.kernel_width),
+            (one.stage1.reciprocity.max_abs_deviation, est.stage1.reciprocity.max_abs_deviation),
+            (one.stage2.gamut_training_rms, est.stage2.gamut_training_rms),
+        ]
+        for got, want in pairs:
+            np.testing.assert_array_equal(got, want)
+        assert (one.stage1.inner_count, one.stage1.outer_count) == (
+            est.stage1.inner_count, est.stage1.outer_count)
+
+
 @pytest.fixture(scope="module")
 def warped_setup(span_basis):
     parents, basis = span_basis

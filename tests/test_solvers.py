@@ -108,6 +108,41 @@ class TestIsotonic:
         assert abs(out.sum() - y.sum()) <= 1e-7 * max(1.0, np.abs(y).sum())
         np.testing.assert_allclose(isotonic_projection(out), out, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "y",
+        [
+            [0.0, 0.25, 0.5, 2.0, 7.0],  # strictly increasing
+            [-3.0, -0.5, 0.0, 1e-3, 5.0],
+            [0.0, 1.0, 1.0, 1.0, 2.0],  # flat run
+            [0.0, 1e-12, 1.0],  # increasing by less than the gap
+            [3.0, 2.0, 1.0, 0.0],  # decreasing
+            [2.0, 0.5, 1.0, 4.0, 3.0],
+            [0.0, 1.0, np.nan, 0.5, 2.0],  # NaN-containing
+            [np.nan, 2.0, 1.0],
+            [1.0, 2.0, np.nan],
+        ],
+    )
+    def test_strictly_increasing_is_projection_then_floor_sweep(self, y):
+        y = np.asarray(y)
+        want = y.copy()
+        # Pool adjacent violators never pools across a NaN: project each NaN-free run.
+        start = 0
+        for stop in [*np.flatnonzero(np.isnan(y)), y.size]:
+            if stop > start:
+                want[start:stop] = isotonic_bruteforce(y[start:stop])
+            start = stop + 1
+        for i in range(1, want.size):
+            if want[i] < want[i - 1] + 1e-9:
+                want[i] = want[i - 1] + 1e-9
+        np.testing.assert_allclose(strictly_increasing(y), want, rtol=0, atol=1e-12)
+
+    def test_strictly_increasing_returns_increasing_input_as_a_copy(self):
+        y = np.linspace(-1.0, 3.0, 257)
+        out = strictly_increasing(y)
+        np.testing.assert_array_equal(out, y)
+        out[0] = 9.0
+        assert y[0] == -1.0
+
     def test_strictly_increasing_enforces_gap(self):
         out = strictly_increasing(np.array([1.0, 1.0, 1.0, 0.5]))
         assert (np.diff(out) > 0).all()
