@@ -128,9 +128,18 @@ class RbfGamutMap:
             raise ValueError(f"ridge must be nonnegative, got {self.ridge}")
 
 
+def _sq_dist(pts: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(N, K) squared distances, summed over x, y, z left to right as numpy sums a length-3 axis."""
+    out = (pts[:, 0, None] - q[:, 0]) ** 2
+    for a in (1, 2):
+        out += (pts[:, a, None] - q[:, a]) ** 2
+    return out
+
+
 def _kernel_matrix(pts: np.ndarray, centers: np.ndarray, width: float) -> np.ndarray:
-    d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return np.exp(-d2 / (2.0 * width * width))
+    """exp(-d2 / (2 width^2)) of the ``_sq_dist`` sums d2, in place (d2 / -c rounds as -d2 / c)."""
+    d2 = _sq_dist(pts, centers)
+    return np.exp(np.divide(d2, -2.0 * width * width, out=d2), out=d2)
 
 
 def apply_gamut_map(gmap: RbfGamutMap, s) -> np.ndarray:
@@ -160,25 +169,21 @@ class GamutFitResult:
 def _farthest_point_centers(pts: np.ndarray, k: int) -> np.ndarray:
     """Deterministic farthest-point sampling; first pick is the point
     farthest from the centroid, ties resolved to the lowest index."""
-    n = pts.shape[0]
-    if k >= n:
+    if k >= pts.shape[0]:
         return pts.copy()
-    chosen = [int(np.argmax(((pts - pts.mean(axis=0)) ** 2).sum(axis=1)))]
-    dist = ((pts - pts[chosen[0]]) ** 2).sum(axis=1)
+    chosen = [int(np.argmax(_sq_dist(pts, pts.mean(axis=0)[None])))]
+    dist = _sq_dist(pts, pts[chosen])
     while len(chosen) < k:
         nxt = int(np.argmax(dist))
         chosen.append(nxt)
-        dist = np.minimum(dist, ((pts - pts[nxt]) ** 2).sum(axis=1))
+        np.minimum(dist, _sq_dist(pts, pts[nxt, None]), out=dist)
     return pts[chosen]
 
 
 def _median_pairwise(pts: np.ndarray) -> float:
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    upper = d2[np.triu_indices(pts.shape[0], k=1)]
+    upper = _sq_dist(pts, pts)[np.triu_indices(pts.shape[0], k=1)]
     upper = upper[upper > 0]
-    if upper.size == 0:
-        return 1.0
-    return float(np.sqrt(np.median(upper)))
+    return float(np.sqrt(np.median(upper))) if upper.size else 1.0
 
 
 def fit_gamut_map(

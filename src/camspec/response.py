@@ -213,16 +213,17 @@ class _ChannelSystem:
         return out
 
     def gram(self):
-        """G as a dense matrix."""
+        """G, dense, in one buffer: 0.0 - pairs + band rounds as band - pairs and keeps +0.0."""
         n = self.code_w2.size
-        diag, sub1, sub2 = _smoothness_bands(self.sw)
-        gram = np.diag(diag)
-        for offset, band in ((1, sub1), (2, sub2)):
-            gram += np.diag(band, offset) + np.diag(band, -offset)
         # The m_p m_p^T / W_p terms, summed over every pair of samples in a patch.
         pairs = (self.slot_code[:, :, None] * n + self.slot_code[:, None, :]).ravel()
         weights = self.slot_w2[:, :, None] * self.slot_w2[:, None, :] / self.w2_patch[:, None, None]
-        gram -= np.bincount(pairs, weights.ravel(), n * n).reshape(n, n)
+        gram = (0.0 - np.bincount(pairs, weights.ravel(), n * n)).reshape(n, n)
+        diag, sub1, sub2 = _smoothness_bands(self.sw)
+        gram.flat[:: n + 1] += diag
+        for offset, band in ((1, sub1), (2, sub2)):
+            gram.flat[offset : n * (n - offset) : n + 1] += band  # above the diagonal
+            gram.flat[n * offset :: n + 1] += band  # below it
         gram.flat[:: n + 1] += self.code_w2
         gram[self.anchor, :] = gram[:, self.anchor] = 0.0
         gram[self.anchor, self.anchor] = 1.0
@@ -335,18 +336,19 @@ def estimate_response(
     systems: list[_ChannelSystem] = []
     deficient: dict[str, list[str]] = {}
     for k in range(3):
-        pj, ei = np.nonzero(usable)
+        pj, ei = np.nonzero(usable)  # row-major: each patch's samples are one run
         codes = stack.samples[pj, ei, k]
         w = w_of[codes]
         keep = w > 0
-        ei, codes, w = ei[keep], codes[keep], w[keep]
-        patches, pj = np.unique(pj[keep], return_inverse=True)
+        pj, ei, codes, w = pj[keep], ei[keep], codes[keep], w[keep]
+        first = np.diff(pj, prepend=-1) != 0  # each active patch's first sample
+        pj = np.cumsum(first) - 1  # the active patches numbered from 0
         # The anchor plus one equation per active patch is the minimum that
         # pins the gauge; anything less is underdetermined. Only a patch
         # whose samples reach two codes pins the slope.
-        if codes.size < patches.size + 1:
+        if codes.size < np.count_nonzero(first) + 1:
             reason = "not enough unsaturated samples"
-        elif np.unique(pj * n + codes).size == patches.size:
+        elif not ((codes[1:] != codes[:-1]) & ~first[1:]).any():
             reason = "no patch reaches two codes, so the slope is free; add exposures"
         else:
             systems.append(

@@ -121,6 +121,50 @@ def response_dense_oracle(stack, lam: float = 50.0, mask=None) -> np.ndarray:
     return tables
 
 
+def kernel_matrix_broadcast(pts: np.ndarray, centers: np.ndarray, width: float) -> np.ndarray:
+    """The Gaussian RBF kernel matrix from the (N, K, 3) broadcast of the
+    point-center differences, reduced by numpy's sum over the last axis."""
+    d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    return np.exp(-d2 / (2.0 * width * width))
+
+
+def farthest_point_loop(pts: np.ndarray, k: int) -> np.ndarray:
+    """Farthest-point sampling with one (N, 3) difference per pick: first the
+    point farthest from the centroid, then the point farthest from every
+    pick so far, ties to the lowest index."""
+    if k >= pts.shape[0]:
+        return pts.copy()
+    chosen = [int(np.argmax(((pts - pts.mean(axis=0)) ** 2).sum(axis=1)))]
+    dist = ((pts - pts[chosen[0]]) ** 2).sum(axis=1)
+    while len(chosen) < k:
+        nxt = int(np.argmax(dist))
+        chosen.append(nxt)
+        dist = np.minimum(dist, ((pts - pts[nxt]) ** 2).sum(axis=1))
+    return pts[chosen]
+
+
+def gram_five_diagonals(system) -> np.ndarray:
+    """A ``camspec.response._ChannelSystem``'s dense Gram, assembled from five
+    ``np.diag`` matrices of the smoothness bands, minus the per-patch pair
+    sums, plus the code weights on the diagonal. The bands and the system's
+    arrays come from the library; only the assembly is coded again here."""
+    from camspec.response import _smoothness_bands
+
+    n = system.code_w2.size
+    diag, sub1, sub2 = _smoothness_bands(system.sw)
+    gram = np.diag(diag)
+    for offset, band in ((1, sub1), (2, sub2)):
+        gram += np.diag(band, offset) + np.diag(band, -offset)
+    pairs = (system.slot_code[:, :, None] * n + system.slot_code[:, None, :]).ravel()
+    weights = (system.slot_w2[:, :, None] * system.slot_w2[:, None, :]
+               / system.w2_patch[:, None, None])
+    gram -= np.bincount(pairs, weights.ravel(), n * n).reshape(n, n)
+    gram.flat[:: n + 1] += system.code_w2
+    gram[system.anchor, :] = gram[:, system.anchor] = 0.0
+    gram[system.anchor, system.anchor] = 1.0
+    return gram
+
+
 def nnls_bruteforce(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Enumerate every support set; exact for small well-posed problems."""
     m, n = a.shape
@@ -191,7 +235,9 @@ def isotonic_bruteforce(y: np.ndarray) -> np.ndarray:
             [np.full(bounds[i + 1] - bounds[i], means[i]) for i in range(len(means))]
         )
         cost = float(np.sum((fit - y) ** 2))
-        if cost < best_cost - 1e-12:
+        # Exact comparison: an absolute margin would keep a pooled fit over
+        # the exact one whenever their costs differ by less than the margin.
+        if cost < best_cost:
             best_cost = cost
             best = fit
     return best

@@ -19,10 +19,12 @@ from camspec.errors import DegenerateGeometryError
 from camspec.gamut import (
     SRGB_TO_XYZ,
     _farthest_point_centers,
+    _kernel_matrix,
     apply_gamut_map_batch,
     srgb_primaries_xy,
     white_xy,
 )
+from support import farthest_point_loop, kernel_matrix_broadcast
 
 
 class TestRgbToXy:
@@ -303,3 +305,34 @@ class TestFarthestPointSampling:
         np.testing.assert_array_equal(c1, c2)
         centroid_dist = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
         np.testing.assert_array_equal(c1[0], pts[np.argmax(centroid_dist)])
+
+
+def _point_sets():
+    """Random sets, sets with repeated points (distance ties) and one point."""
+    rng = np.random.default_rng(23)
+    sets = [rng.uniform(0, 1, size=(n, 3)) for n in (5, 60, 700)]
+    sets.append(rng.normal(0, 50, size=(200, 3)))
+    dup = rng.uniform(0, 1, size=(12, 3))
+    sets.append(np.concatenate([dup, dup, dup[:5]]))
+    sets.append(np.repeat(rng.uniform(0, 1, size=(4, 3)), 6, axis=0))
+    sets.append(rng.uniform(0, 1, size=(1, 3)))
+    return sets
+
+
+class TestSquaredDistanceKernels:
+    """The kernels sum squared coordinate differences without the (N, K, 3)
+    broadcast, in the order numpy sums a length-3 axis: same bits."""
+
+    @pytest.mark.parametrize("pts", _point_sets(), ids=lambda p: f"n{p.shape[0]}")
+    @pytest.mark.parametrize("k", [1, 8, 32])
+    def test_farthest_point_centers_equal_the_loop(self, pts, k):
+        np.testing.assert_array_equal(_farthest_point_centers(pts, k), farthest_point_loop(pts, k))
+
+    @pytest.mark.parametrize("pts", _point_sets(), ids=lambda p: f"n{p.shape[0]}")
+    @pytest.mark.parametrize("width", [0.07, 0.3, 2.5])
+    def test_kernel_matrix_equals_the_broadcast_formula(self, pts, width):
+        centers = farthest_point_loop(pts, 32)
+        for c in (centers, pts[:1], pts):
+            got = _kernel_matrix(pts, c, width)
+            assert got.shape == (pts.shape[0], c.shape[0])
+            np.testing.assert_array_equal(got, kernel_matrix_broadcast(pts, c, width))

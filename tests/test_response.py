@@ -16,6 +16,7 @@ from support import (
     cluster_target_codes,
     flat_patch_stack,
     gauge_aligned_code_error,
+    gram_five_diagonals,
     levels_for_codes,
     loglog_exponent,
     reciprocity_oracle,
@@ -268,6 +269,26 @@ class TestAgainstDenseOracle:
             estimate_response(request.getfixturevalue(fixture))
 
 
+class TestDenseGram:
+    def test_gram_equals_the_five_diagonal_assembly(self, monkeypatch, synthetic_8bit_wide):
+        # Bit for bit, signed zeros included: the dense solve sees the same matrix.
+        seen = []
+        build = response._dense_solver
+
+        def capture(systems):
+            seen.extend(systems)
+            return build(systems)
+
+        monkeypatch.setattr(response, "_dense_solver", capture)
+        estimate_response(synthetic_8bit_wide)
+        assert len(seen) == 3
+        for system in seen:
+            got, want = system.gram(), gram_five_diagonals(system)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+            assert (got == 0.0).any()
+
+
 class TestPatchElimination:
     """Patches with too few usable samples carry no information once their
     log-exposure is eliminated; they must drop out without a trace."""
@@ -322,6 +343,15 @@ class TestPatchElimination:
             match=r"^response estimation needs >= 2 distinct exposures, got 1$",
         ):
             estimate_response(ExposureStack(np.array([1.0, 1.0]), np.full((4, 2, 3), 100)))
+
+    def test_stack_masked_to_nothing_lacks_samples_in_every_channel(self, synthetic_8bit):
+        mask = np.zeros((synthetic_8bit.n_patches, synthetic_8bit.n_exposures), dtype=bool)
+        with pytest.raises(
+            UnderdeterminedError,
+            match=r"^response system underdetermined for channel\(s\) r, g, b: "
+            r"not enough unsaturated samples$",
+        ):
+            estimate_response(synthetic_8bit, sample_mask=mask)
 
     def test_refusal_comes_before_any_solver_is_built(self, monkeypatch):
         def no_solver(systems):

@@ -113,6 +113,7 @@ class TestIsotonic:
         [
             [0.0, 0.25, 0.5, 2.0, 7.0],  # strictly increasing
             [-3.0, -0.5, 0.0, 1e-3, 5.0],
+            [-3.0, -1e-3, 0.0, 1e-9, 5.0],  # a step below any absolute cost margin
             [0.0, 1.0, 1.0, 1.0, 2.0],  # flat run
             [0.0, 1e-12, 1.0],  # increasing by less than the gap
             [3.0, 2.0, 1.0, 0.0],  # decreasing
