@@ -3,19 +3,21 @@
 The estimator solves the log-domain least-squares problem of Debevec & Malik
 (1997): hat-weighted data equations ln g^-1(z) - ln E_patch = ln t,
 curvature (smoothness) penalties, and a mid-code anchor that fixes the
-arbitrary overall scale. The normal equations of the code unknowns x and
-the patch unknowns ln E have a pentadiagonal code block and a diagonal
-patch block; they are assembled from the sparse rows, with the anchor
-unknown eliminated, and one block is eliminated in closed form. With P
-active patches and fewer patches than free codes, the code block goes: a
-banded LDL^T and a P x P capacitance (Woodbury; Golub & Van Loan, *Matrix
-Computations*, 4.3), O(2^bits P + P^3) time and O(2^bits P) memory per
-channel. Otherwise each patch's ln E goes (variable projection) and the
-2^bits code unknowns are solved densely, O((2^bits)^3) time and
-O((2^bits)^2) memory. Once every channel is found solvable, each path
-builds its system once, for the solve and one refinement step (Bjorck,
-*Numerical Methods for Least Squares Problems*, 1996), whose size, bounded
-by ``CERTIFICATE_BOUND``, certifies the table.
+arbitrary overall scale, on the m codes the data reach (widened to hold the
+anchor +- 2 and whole banded blocks; the rest is the exact linear
+extension). The normal equations of the code unknowns x and the patch
+unknowns ln E have a pentadiagonal code block and a diagonal patch block;
+they are assembled from the sparse rows, with the anchor unknown
+eliminated, and one block is eliminated in closed form. With P active
+patches, fewer than the m - 1 free codes, the code block goes: a banded
+LDL^T and a P x P capacitance (Woodbury; Golub & Van Loan, *Matrix
+Computations*, 4.3), O(m P + P^3) time and O(m P) memory per channel.
+Otherwise each patch's ln E goes (variable projection) and the m code
+unknowns are solved densely, O(m^3) time and O(m^2) memory. Once every
+channel is found solvable, each path builds its system once, for the solve
+and one refinement step over the solved codes (Bjorck, *Numerical Methods
+for Least Squares Problems*, 1996), whose size, bounded by
+``CERTIFICATE_BOUND``, certifies the table.
 """
 
 from __future__ import annotations
@@ -96,10 +98,10 @@ def hat_weights(n_codes: int) -> np.ndarray:
     return np.minimum(z, (n_codes - 1) - z)
 
 
-#: Largest accepted refinement step in ln g^-1. The refined table is off the
-#: exact least-squares solution by about 0.3-0.6 times the squared step
-#: (measured on the benchmark sets and test stacks up to lambda = 1e6), so
-#: this bound keeps that error below about 6e-11.
+#: Largest accepted refinement step in ln g^-1 over the solved codes, whose
+#: table is off the exact least-squares solution by about 0.3-0.6 times the
+#: squared step (measured on the benchmark sets and test stacks up to lambda
+#: = 1e6): below about 6e-11, times the distance in codes in the tails.
 CERTIFICATE_BOUND = 1e-5
 
 
@@ -123,17 +125,29 @@ def _band_factor(sw: np.ndarray, code_w2: np.ndarray, anchor: int):
     for w2 in code_w2:
         b_diag = diag + w2
         b_diag[anchor] = 1.0
-        rows = []
+        a, b, d = [], [], []
         a1, d1, d2 = 0.0, 1.0, 1.0  # a[i - 1], d[i - 1], d[i - 2]
         for di, s1, s2 in zip(b_diag.tolist(), sub1, sub2):
             t = s1 - s2 * a1
             ai, bi = t / d1, s2 / d2
             di -= ai * t + bi * s2
-            rows.append((ai, bi, di))
+            a.append(ai)
+            b.append(bi)
+            d.append(di)
             a1, d1, d2 = ai, di, d1
-        factor.append(list(zip(*rows)))
+        factor.append((a, b, d))
     a, b, d = np.array(factor).transpose(1, 2, 0)[..., None]
     return _sweep(a, b), d, _sweep(np.roll(a[::-1], 1, axis=0), np.roll(b[::-1], 2, axis=0))
+
+
+def _solved_range(lo: int, hi: int, anchor: int, n: int) -> tuple[int, int]:
+    """(first code, m) of the codes solved when data reach codes lo to hi of n:
+    anchor +- 2 too, which ``_band_factor``'s anchor couplings need, and whole
+    ``_sweep`` blocks, padded above hi first; (0, n) if that leaves 1 to n - 2."""
+    lo, hi = min(lo, anchor - 2), max(hi, anchor + 2)
+    k = 1 << ((hi - lo + 1).bit_length() // 2)
+    m = -(-(hi - lo + 1) // k) * k  # keeps the bit length of hi - lo + 1 or is a power of two
+    return (0, n) if m > n - 2 else (min(lo, n - 1 - m), m)
 
 
 def _sweep(a: np.ndarray, b: np.ndarray):
@@ -142,7 +156,7 @@ def _sweep(a: np.ndarray, b: np.ndarray):
     by block, and h, each block's response to unit impulses at the two rows
     before it, one per column."""
     n = a.shape[0]
-    k = 1 << (n.bit_length() // 2)  # n is a power of two
+    k = 1 << (n.bit_length() // 2)  # divides n: see _solved_range
     a, b = (v.reshape(n // k, k, *v.shape[1:]) for v in (a, b))
     h = np.zeros((n // k, k + 2, 2, *a.shape[2:]))
     h[:, 0, 1] = h[:, 1, 0] = 1.0
@@ -248,21 +262,27 @@ def _code_block_solver(systems: list[_ChannelSystem]):
     per system; each banded pass runs over every system at once.
 
     Returns a function that solves for right-hand sides, one per system;
-    each costs two banded sweeps and the P x P solves.
+    each call costs two banded sweeps and the P x P solves. The first call's
+    ride as one more column of the pass that builds Y, bit for bit.
     """
     s0 = systems[0]
     factor = _band_factor(s0.sw, np.array([s.code_w2 for s in systems]), s0.anchor)
-    block = np.zeros((s0.code_w2.size, len(systems), max(s.n_patches for s in systems)))
+    block = np.zeros((s0.code_w2.size, len(systems), max(s.n_patches for s in systems) + 1))
     for j, s in enumerate(systems):
         np.add.at(block[:, j], (s.codes, s.patch), s.w2)  # C, then its anchor row zeroed
         block[s.anchor, j] = 0.0
-    _band_solve(factor, block)
-    ys = [block[:, j, : s.n_patches] for j, s in enumerate(systems)]
-    caps = [np.diag(s.w2_patch) - s.coupling_t(y) for s, y in zip(systems, ys)]
+    ys, caps = [], []
 
     def solve(rs):
         u = np.stack(rs, axis=1)[:, :, None]
-        _band_solve(factor, u)
+        if ys:
+            _band_solve(factor, u)
+        else:  # the first right-hand sides: the block's last column
+            block[:, :, -1:] = u
+            _band_solve(factor, block)
+            ys.extend(block[:, j, : s.n_patches] for j, s in enumerate(systems))
+            caps.extend(np.diag(s.w2_patch) - s.coupling_t(y) for s, y in zip(systems, ys))
+            u = block[:, :, -1:]
         return [
             u[:, j, 0] + y @ np.linalg.solve(cap, s.coupling_t(u[:, j, 0]))
             for j, (s, y, cap) in enumerate(zip(systems, ys, caps))
@@ -285,20 +305,24 @@ def estimate_response(
 
     ``smoothness_lambda`` (positive) scales the curvature penalty.
 
-    The normal equations are assembled from the rows' structure, never
-    from a dense design matrix, with the anchor code fixed at exactly 0 by
-    dropping its row and column. A channel with P active patches, fewer
-    than the 2^bits - 1 free codes, eliminates the code block: a banded
-    LDL^T of the smoothness-plus-diagonal code block and a P x P
-    capacitance, O(2^bits P + P^3) time and O(2^bits P) memory; the banded
+    The unknowns are the m codes that usable samples reach, in any channel,
+    widened as ``_solved_range`` says: to hold the anchor +- 2 and whole
+    banded blocks. The codes outside are the linear extension of the end
+    codes, the exact solution there: it zeroes every smoothness row that
+    touches them, and no other row does. The normal equations are assembled
+    from the rows' structure, never from a dense design matrix, with the
+    anchor code fixed at exactly 0 by dropping its row and column. A channel
+    with P active patches, fewer than the m - 1 free codes, eliminates the
+    code block: a banded LDL^T of the smoothness-plus-diagonal code block
+    and a P x P capacitance, O(m P + P^3) time and O(m P) memory; the banded
     passes serve all such channels at once. A channel with more patches
     eliminates each patch's ln E, a w^2-weighted mean for fixed g, and
-    solves the 2^bits code unknowns densely, O((2^bits)^3) time and
-    O((2^bits)^2) memory. Each path builds G or the banded factor once, for
-    the solve and one refinement step against the least-squares rows; a step
-    above ``CERTIFICATE_BOUND`` raises ``RankDeficiencyError``. Smoothness rows
-    fill codes the data never reaches by curvature-minimizing extension;
-    the final table is projected to be strictly increasing.
+    solves the m code unknowns densely, O(m^3) time and O(m^2) memory. Each
+    path builds G or the banded factor once, for the solve and one
+    refinement step over the solved codes; a step above
+    ``CERTIFICATE_BOUND`` raises ``RankDeficiencyError``. Smoothness rows
+    fill solved codes the data never reach by curvature-minimizing
+    extension; the final table is projected to be strictly increasing.
 
     A system without a unique solution raises ``UnderdeterminedError``
     naming the channels, before anything is factored: ``smoothness_lambda
@@ -333,6 +357,11 @@ def estimate_response(
     sw = smoothness_lambda * w_of[1:-1]
     log_e = np.log(stack.exposures)
 
+    # Solve on the codes [lo, lo + m) that usable samples reach, widened; the
+    # initial values serve a stack without one, which the loop below refuses.
+    reached = stack.samples[usable]
+    reached = reached[w_of[reached] > 0]
+    lo, m = _solved_range(int(reached.min(initial=n)), int(reached.max(initial=0)), anchor, n)
     systems: list[_ChannelSystem] = []
     deficient: dict[str, list[str]] = {}
     for k in range(3):
@@ -351,9 +380,8 @@ def estimate_response(
         elif not ((codes[1:] != codes[:-1]) & ~first[1:]).any():
             reason = "no patch reaches two codes, so the slope is free; add exposures"
         else:
-            systems.append(
-                _ChannelSystem(codes, pj, ei, w, log_e[ei], stack.n_exposures, sw, anchor)
-            )
+            systems.append(_ChannelSystem(codes - lo, pj, ei, w, log_e[ei], stack.n_exposures,
+                                          sw[lo : lo + m - 2], anchor - lo))
             continue
         deficient.setdefault(reason, []).append(CHANNEL_NAMES[k])
     if deficient:
@@ -366,12 +394,12 @@ def estimate_response(
     # code block; the others solve G densely.
     paths: dict = {}
     for k, s in enumerate(systems):
-        build = _dense_solver if s.n_patches >= n - 1 else _code_block_solver
+        build = _dense_solver if s.n_patches >= m - 1 else _code_block_solver
         paths.setdefault(build, []).append(k)
     solvers = [(ks, build([systems[k] for k in ks])) for build, ks in paths.items()]
-    x = np.zeros((3, n))
+    x = np.zeros((3, m))
     for _ in range(2):  # solve, then refine once
-        step = np.zeros((3, n))
+        step = np.zeros((3, m))
         for ks, solve in solvers:
             step[ks] = solve([systems[k].gradient(x[k]) for k in ks])
         x += step
@@ -383,6 +411,10 @@ def estimate_response(
                 f"refinement step {certificate:.3g} > {CERTIFICATE_BOUND:g} in ln g^-1; "
                 "lower smoothness_lambda"
             )
+    # The codes outside [lo, lo + m): the linear extension of its end codes.
+    z = np.arange(n) - lo
+    x = (x[:, np.clip(z, 0, m - 1)] + np.minimum(z, 0) * (x[:, 1:2] - x[:, :1])
+         + np.maximum(z - (m - 1), 0) * (x[:, -1:] - x[:, -2:-1]))
     return ResponseCurve(stack.bit_depth, np.array([strictly_increasing(v) for v in x]))
 
 

@@ -40,22 +40,26 @@ def synthetic_database(
     if n_entries < 2:
         raise ValueError("need at least 2 entries")
     rng = np.random.default_rng(seed)
-    wl = grid.wavelengths
-    entries = []
-    for idx in range(n_entries):
-        cols = np.empty((grid.count, 3))
-        for k, (center, spread) in enumerate(_CHANNEL_CENTERS):
-            c = rng.normal(center, spread)
-            width = rng.uniform(22.0, 42.0)
-            amp = rng.uniform(0.6, 1.0)
-            curve = amp * _gaussian(wl, c, width)
-            if rng.uniform() < 0.5:
-                side = rng.uniform(0.05, 0.2) * amp
-                shift = rng.choice([-1.0, 1.0]) * rng.uniform(35.0, 70.0)
-                curve = curve + side * _gaussian(wl, c + shift, rng.uniform(15.0, 30.0))
-            cols[:, k] = curve
-        entries.append((f"synthcam-{idx:03d}", SensitivityMatrix(grid, cols)))
-    return SensitivityDatabase(tuple(entries), grid)
+    bumps, lobe_at, lobes = [], [], []  # the draws, in order: per curve, then per side lobe
+    for curve in range(3 * n_entries):
+        center, spread = _CHANNEL_CENTERS[curve % 3]
+        c = rng.normal(center, spread)
+        width = rng.uniform(22.0, 42.0)
+        amp = rng.uniform(0.6, 1.0)
+        bumps.append((c, width, amp))
+        if rng.uniform() < 0.5:
+            side = rng.uniform(0.05, 0.2) * amp
+            shift = (-1.0, 1.0)[rng.integers(0, 2)] * rng.uniform(35.0, 70.0)
+            lobe_at.append(curve)
+            lobes.append((side, c + shift, rng.uniform(15.0, 30.0)))
+    c, width, amp = np.array(bumps).T[..., None]
+    curves = amp * _gaussian(grid.wavelengths, c, width)  # (3 n_entries, M), channel-minor
+    side, c, width = np.array(lobes).reshape(-1, 3).T[..., None]
+    curves[lobe_at] += side * _gaussian(grid.wavelengths, c, width)
+    return SensitivityDatabase(tuple(
+        (f"synthcam-{idx:03d}", SensitivityMatrix(grid, curves[3 * idx : 3 * idx + 3].T))
+        for idx in range(n_entries)
+    ), grid)
 
 
 def spanning_database(

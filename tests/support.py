@@ -165,6 +165,31 @@ def gram_five_diagonals(system) -> np.ndarray:
     return gram
 
 
+def synthetic_database_loop(grid, n_entries: int = 24, seed: int = 7) -> list:
+    """The stand-in database's (M, 3) curves, one Gaussian bump per channel
+    and entry at a time, plus the side lobe when the coin says so, drawn
+    from ``default_rng(seed)`` in ``camspec.synthetic_database``'s order."""
+    centers = ((605.0, 18.0), (540.0, 15.0), (465.0, 15.0))
+    rng = np.random.default_rng(seed)
+    wl = grid.wavelengths
+    out = []
+    for _ in range(n_entries):
+        cols = np.empty((grid.count, 3))
+        for k, (center, spread) in enumerate(centers):
+            c = rng.normal(center, spread)
+            width = rng.uniform(22.0, 42.0)
+            amp = rng.uniform(0.6, 1.0)
+            curve = amp * np.exp(-0.5 * ((wl - c) / width) ** 2)
+            if rng.uniform() < 0.5:
+                side = rng.uniform(0.05, 0.2) * amp
+                shift = rng.choice([-1.0, 1.0]) * rng.uniform(35.0, 70.0)
+                lobe = rng.uniform(15.0, 30.0)
+                curve = curve + side * np.exp(-0.5 * ((wl - (c + shift)) / lobe) ** 2)
+            cols[:, k] = curve
+        out.append(cols)
+    return out
+
+
 def nnls_bruteforce(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Enumerate every support set; exact for small well-posed problems."""
     m, n = a.shape

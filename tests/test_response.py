@@ -269,6 +269,104 @@ class TestAgainstDenseOracle:
             estimate_response(request.getfixturevalue(fixture))
 
 
+def band_stack(lo: int, hi: int, bit_depth: int = 8, n_patches: int = 16) -> ExposureStack:
+    """Codes of a gamma-2.2 camera at exposures 0.9, 1 and 1.1, clipped to
+    [lo, hi]; the first patch reaches lo and the last reaches hi."""
+    zmax = 2**bit_depth - 1
+    t = np.array([0.9, 1.0, 1.1])
+    level = (np.linspace(lo, hi, n_patches) / zmax) ** 2.2
+    lin = level[:, None, None] * t[:, None] * np.array([1.0, 0.96, 1.04])
+    codes = np.clip(np.round(zmax * lin ** (1 / 2.2)), lo, hi).astype(int)
+    return ExposureStack(t, codes, bit_depth, 1, zmax - 1)
+
+
+def spy_on(monkeypatch, builder: str) -> list:
+    """Record the systems each build of ``builder`` gets and its solve calls."""
+    seen = []
+    build = getattr(response, builder)
+
+    def spy(systems):
+        solve = build(systems)
+        calls = []
+        seen.append((systems, solve, calls))
+
+        def recorded(rs):
+            out = solve(rs)
+            calls.append((rs, out))
+            return out
+
+        return recorded
+
+    monkeypatch.setattr(response, builder, spy)
+    return seen
+
+
+BANDS = [(20, 60, 8), (60, 127, 8), (128, 200, 8), (129, 200, 8), (200, 240, 8), (300, 700, 10)]
+
+
+class TestSolvedRange:
+    """The solve runs on the codes the data reach, widened to hold the anchor
+    and to whole banded blocks; the codes outside are the linear extension
+    of its end codes."""
+
+    @pytest.mark.parametrize("bits", [4, 8, 10])
+    def test_range_holds_data_and_anchor_and_whole_blocks(self, bits):
+        n = 2**bits
+        anchor = n // 2
+        for lo in range(1, n - 1, 1 if bits < 10 else 7):
+            for hi in range(lo, n - 1, 1 if bits < 10 else 5):
+                first, m = response._solved_range(lo, hi, anchor, n)
+                if (first, m) == (0, n):
+                    continue
+                assert 1 <= first <= min(lo, anchor - 2)
+                assert max(hi, anchor + 2) <= first + m - 1 <= n - 2
+                assert m % (1 << (m.bit_length() // 2)) == 0  # whole _sweep blocks
+
+    @pytest.mark.parametrize("lo, hi, bits", BANDS, ids=[f"{a}-{b}-{c}bit" for a, b, c in BANDS])
+    def test_band_matches_dense_system(self, monkeypatch, lo, hi, bits):
+        seen = spy_on(monkeypatch, "_code_block_solver")
+        stack = band_stack(lo, hi, bits)
+        fit = estimate_response(stack)
+        assert np.abs(fit.ln_e - response_dense_oracle(stack)).max() <= 1e-9
+        [(systems, _, _)] = seen
+        assert systems[0].code_w2.size < 2**bits  # a solve on part of the code range
+
+    @pytest.mark.parametrize("lo, hi, bits", BANDS, ids=[f"{a}-{b}-{c}bit" for a, b, c in BANDS])
+    def test_codes_outside_the_reached_range_are_linear(self, lo, hi, bits):
+        n = 2**bits
+        ln_e = estimate_response(band_stack(lo, hi, bits)).ln_e
+        z = np.arange(1, n - 1)
+        outside = (z <= min(lo, n // 2)) | (z >= max(hi, n // 2))
+        assert np.abs(np.diff(ln_e, 2, axis=1)[:, outside]).max() <= 1e-12
+
+    def test_more_patches_than_range_codes_solve_densely(self, monkeypatch):
+        # 100 patches: at least the range's 71 free codes, fewer than 255.
+        dense = spy_on(monkeypatch, "_dense_solver")
+        block = spy_on(monkeypatch, "_code_block_solver")
+        stack = band_stack(60, 127, n_patches=100)
+        fit = estimate_response(stack)
+        assert not block and len(dense) == 1
+        systems = dense[0][0]
+        assert all(72 - 1 <= s.n_patches < 2**8 - 1 for s in systems)
+        assert systems[0].code_w2.size == 72
+        assert np.abs(fit.ln_e - response_dense_oracle(stack)).max() <= 1e-9
+
+    def test_first_block_solution_equals_a_later_solve(self, monkeypatch, synthetic_10bit):
+        seen = spy_on(monkeypatch, "_code_block_solver")
+        estimate_response(synthetic_10bit)
+        [(_, solve, [(rs, first), _])] = seen
+        for got, want in zip(solve(rs), first, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    def test_data_reaching_codes_1_to_n_minus_2_solve_the_full_range(self, monkeypatch):
+        seen = spy_on(monkeypatch, "_code_block_solver")
+        estimate_response(band_stack(1, 254), smoothness_lambda=20.0)
+        [(systems, _, _)] = seen
+        for s in systems:
+            assert s.code_w2.size == 2**8 and s.anchor == 2**7
+            np.testing.assert_array_equal(s.sw, 20.0 * response.hat_weights(2**8)[1:-1])
+
+
 class TestDenseGram:
     def test_gram_equals_the_five_diagonal_assembly(self, monkeypatch, synthetic_8bit_wide):
         # Bit for bit, signed zeros included: the dense solve sees the same matrix.

@@ -6,6 +6,7 @@ from camspec import (
     MeasurementSet,
     SensitivityDatabase,
     SensitivityMatrix,
+    SpectralGrid,
     build_basis,
     cross_validate,
     estimate_constrained,
@@ -18,7 +19,7 @@ from camspec.errors import (
     UnderdeterminedError,
 )
 from camspec.synthetic import spanning_database
-from support import smooth_spectra
+from support import smooth_spectra, synthetic_database_loop
 
 GRID = DEFAULT_GRID
 M = GRID.count
@@ -52,6 +53,21 @@ def _cv_outcome(m, basis) -> dict:
     except ConvergenceError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
     return {"mu": report.mu.channels, "sigma": report.sigma, "fold_rmse": report.fold_rmse}
+
+
+class TestSyntheticDatabase:
+    """The stand-in database, built in one pass, against the loop that drew
+    and evaluated one curve at a time (tests/support.py)."""
+
+    @pytest.mark.parametrize("grid", [GRID, SpectralGrid(400.0, 20.0, 17)], ids=["default", "coarse"])
+    @pytest.mark.parametrize("n_entries", [2, 24])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 23, 34])  # seed 34: no side lobe in 2 entries
+    def test_synthetic_database_equals_the_loop(self, grid, n_entries, seed):
+        db = synthetic_database(grid, n_entries, seed)
+        want = synthetic_database_loop(grid, n_entries, seed)
+        assert [name for name, _ in db.entries] == [f"synthcam-{i:03d}" for i in range(n_entries)]
+        for (_, omega), cols in zip(db.entries, want, strict=True):
+            np.testing.assert_array_equal(omega.channels, cols)
 
 
 class TestBuildBasis:
