@@ -26,14 +26,13 @@ from .errors import (
     ParseError,
     PipelineError,
     RankDeficiencyError,
-    SaturatedCodeError,
     SchemaVersionError,
     UnderdeterminedError,
 )
 from .gamut import apply_gamut_map_batch, chromaticity, fit_gamut_map, partition_gamut
 from .pipeline import PipelineConfig, evaluate, fit_sensitivity, run_two_stage
 from .response import ExposureStack, check_exposure_reciprocity, estimate_response
-from .sensitivity import cross_validate
+from .sensitivity import SensitivityBasis, build_basis, cross_validate
 from .spectral import DEFAULT_GRID, SpectralGrid, radiance_rows
 from .synthetic import generate_synthetic_dataset, synthetic_camera, synthetic_gamut_warp
 
@@ -66,8 +65,6 @@ def _exit_code_for(exc: Exception) -> int:
         exc,
         (
             ValueError,
-            GridMismatchError,
-            SaturatedCodeError,
             UnderdeterminedError,
             RankDeficiencyError,
             ConvergenceError,
@@ -135,6 +132,13 @@ def _require_data_grid(config_grid: SpectralGrid | None, data_grid: SpectralGrid
         )
 
 
+def _database_basis(args, cfg: PipelineConfig, grid: SpectralGrid) -> SensitivityBasis | None:
+    """The basis of the ``--database`` entries on ``grid``, or None (the stand-in) without it."""
+    if not args.database:
+        return None
+    return build_basis(io.load_database(args.database, grid), cfg.basis_dim)
+
+
 def _cmd_synth(args, run: _Run) -> None:
     cfg, grid = _load_pipeline_config(args, run)
     grid = grid or DEFAULT_GRID
@@ -184,8 +188,7 @@ def _cmd_fit_sensitivity(args, run: _Run) -> None:
     cfg, grid = _load_pipeline_config(args, run)
     mset = io.load_measurement_set(args.radiance, args.measurements)
     _require_data_grid(grid, mset.grid)
-    db = io.load_database(args.database, mset.grid) if args.database else None
-    basis, fit = fit_sensitivity(mset, cfg, database=db)
+    basis, fit = fit_sensitivity(mset, cfg, _database_basis(args, cfg, mset.grid))
     cv = cross_validate(mset, basis, folds=cfg.folds, seed=cfg.seed)
     io.save_sensitivity_csv(run.out / "sensitivity.csv", fit.omega_hat)
     io.write_json(
@@ -230,8 +233,7 @@ def _cmd_pipeline(args, run: _Run) -> None:
     cfg, grid = _load_pipeline_config(args, run)
     data = io.load_dataset(args.dataset)
     _require_data_grid(grid, data.grid)
-    database = io.load_database(args.database, data.grid) if args.database else None
-    est = run_two_stage(data, cfg, database=database)
+    est = run_two_stage(data, cfg, _database_basis(args, cfg, data.grid))
     io.save_camera(run.out / "estimated_camera.json", est.camera)
     io.write_json(
         run.out / "diagnostics.json",

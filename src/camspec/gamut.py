@@ -24,6 +24,8 @@ SRGB_TO_XYZ = np.array(
     ]
 )
 SRGB_TO_XYZ.setflags(write=False)
+#: How far outside its edges a point still counts as inside the inner triangle.
+_TRIANGLE_TOL = 1e-12
 
 
 def chromaticity(points) -> np.ndarray:
@@ -79,13 +81,13 @@ class GamutPartition:
         object.__setattr__(self, "outer_indices", np.asarray(self.outer_indices, dtype=int))
 
 
-def _in_triangle(xy: np.ndarray, tri: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _in_triangle(xy: np.ndarray, tri: np.ndarray) -> np.ndarray:
     """Inclusive point-in-triangle via barycentric coordinates; xy is (N, 2)."""
     a, b, c = tri
     t = np.column_stack([b - a, c - a])  # 2x2
     lam = np.linalg.solve(t, (xy - a).T).T
     l1, l2 = lam[:, 0], lam[:, 1]
-    return (l1 >= -tol) & (l2 >= -tol) & (l1 + l2 <= 1.0 + tol)
+    return (l1 >= -_TRIANGLE_TOL) & (l2 >= -_TRIANGLE_TOL) & (l1 + l2 <= 1.0 + _TRIANGLE_TOL)
 
 
 def partition_gamut(points, alpha: float) -> GamutPartition:
@@ -217,11 +219,12 @@ def fit_gamut_map(
         raise ValueError("targets must be finite")
 
     design = np.column_stack([s, np.ones(n)])
-    if np.linalg.matrix_rank(design) < 4:
+    # lstsq's rank has matrix_rank's cutoff: eps * max(N, 4) * the largest singular value.
+    affine_t, _, rank, _ = np.linalg.lstsq(design, e, rcond=None)  # (4, 3)
+    if rank < 4:
         raise DegenerateGeometryError(
             "samples are affinely degenerate (collinear/coplanar); cannot fit a 3-D map"
         )
-    affine_t, *_ = np.linalg.lstsq(design, e, rcond=None)  # (4, 3)
     resid = e - design @ affine_t
 
     if not max_centers >= 1:

@@ -48,27 +48,12 @@ _QUOTED = re.compile('[,"\r\n]').search  # a text cell csv.writer quotes
 
 
 class _Object(dict):
-    """A JSON object from ``read_json``. A missing key raises ParseError naming the
-    file and the key's path from the document root, such as ``grid.count``."""
+    """A JSON object from ``read_json``: its file (``path``) and, once ``_typed`` has
+    read it, its key path from the document root (``at``, such as ``grid.``)."""
 
     def __init__(self, pairs, path):
         super().__init__(pairs)
         self.path, self.at = path, ""
-
-    def __getitem__(self, key):
-        if key not in self:
-            raise ParseError(f"{self.path}: missing key '{self.at}{key}'")
-        value = super().__getitem__(key)
-        if isinstance(value, _Object):
-            value.at = f"{self.at}{key}."
-        elif isinstance(value, list):
-            for i, item in enumerate(value):
-                if isinstance(item, _Object):
-                    item.at = f"{self.at}{key}[{i}]."
-        return value
-
-    def get(self, key, default=None):
-        return self[key] if key in self else default
 
 
 #: What each JSON kind a loader may ask for accepts; exact types, so a bool is not a number.
@@ -107,15 +92,22 @@ def _name(kind, plural=False) -> str:
 
 def _typed(doc: dict, key: str, kind):
     """``doc[key]`` checked to be a JSON ``kind`` (see ``_is``); a kind that admits None
-    also admits a missing key. Any other value raises ParseError naming the file and the key."""
-    value = doc.get(key) if _is(None, kind) else doc[key]
+    also admits a missing key. A missing key or any other value raises ParseError naming
+    the file and the key's path, such as ``grid.count``, which the objects read here learn."""
+    path, at = getattr(doc, "path", "JSON document"), getattr(doc, "at", "")
+    if key not in doc and not _is(None, kind):
+        raise ParseError(f"{path}: missing key '{at}{key}'")
+    value = doc.get(key)
     if not _is(value, kind):
         shown = "an object" if isinstance(value, dict) else (
             "an array" if isinstance(value, list) else json.dumps(value))
-        raise ParseError(
-            f"{getattr(doc, 'path', 'JSON document')}: key '{getattr(doc, 'at', '')}{key}' "
-            f"must be {_name(kind)}, got {shown}"
-        )
+        raise ParseError(f"{path}: key '{at}{key}' must be {_name(kind)}, got {shown}")
+    if isinstance(value, _Object):
+        value.at = f"{at}{key}."
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            if isinstance(item, _Object):
+                item.at = f"{at}{key}[{i}]."
     return value
 
 
@@ -143,8 +135,8 @@ def read_json(path) -> dict:
     """Read a ``write_json`` document and return it without its schema stamp.
 
     An unreadable file, invalid JSON or a document that is not an object raises
-    ParseError; another schema version raises SchemaVersionError. Indexing the
-    result at any depth raises ParseError naming the file and a missing key.
+    ParseError; another schema version raises SchemaVersionError. Read its keys,
+    at any depth, through ``_typed``, which names the file and the key in its errors.
     """
     try:
         doc = json.load(_opened(path), object_pairs_hook=lambda pairs: _Object(pairs, path))

@@ -25,7 +25,6 @@ from .response import ExposureStack, ReciprocityReport, check_exposure_reciproci
 from .sensitivity import (
     MeasurementSet,
     SensitivityBasis,
-    SensitivityDatabase,
     SensitivityFit,
     build_basis,
     estimate_constrained,
@@ -163,16 +162,13 @@ def _inner_mask(
 
 
 def fit_sensitivity(
-    mset: MeasurementSet,
-    cfg: PipelineConfig,
-    database: SensitivityDatabase | None = None,
-    basis: SensitivityBasis | None = None,
+    mset: MeasurementSet, cfg: PipelineConfig, basis: SensitivityBasis | None = None
 ) -> tuple[SensitivityBasis, SensitivityFit]:
-    """The sensitivity step: a basis (``basis``, else built from ``database``, else
-    from the stand-in synthetic database) and the constrained fit on it."""
+    """The sensitivity step: a basis (``basis``, else built from the stand-in
+    synthetic database) and the constrained fit on it."""
     if basis is None:
         from .synthetic import synthetic_database  # late: synthetic imports this module
-        db = database or synthetic_database(mset.grid, cfg.database_entries, cfg.seed)
+        db = synthetic_database(mset.grid, cfg.database_entries, cfg.seed)
         basis = build_basis(db, cfg.basis_dim)
     return basis, estimate_constrained(mset, basis)
 
@@ -191,7 +187,6 @@ def _stage(label: str):
 def run_two_stage(
     inp: CalibrationInput,
     cfg: PipelineConfig | None = None,
-    database: SensitivityDatabase | None = None,
     basis: SensitivityBasis | None = None,
 ) -> EstimatedCamera:
     """Estimate sensitivity, response, and gamut map from calibration data.
@@ -199,7 +194,8 @@ def run_two_stage(
     Stage 1 bootstraps the gamut partition with a provisional gamma-2.2
     linearization, fits the response on inner-gamut samples, re-partitions
     once with the fitted response, refits, and estimates the sensitivity
-    on the refined inner set with one constrained fit, not cross-validated.
+    on the refined inner set with one constrained fit on ``basis`` (None: the
+    stand-in basis, see ``fit_sensitivity``), not cross-validated.
     Stage 2 fits the gamut map over all unsaturated samples, mapping
     predicted raw tristimulus values onto the response-linearized measurements.
     """
@@ -227,7 +223,7 @@ def run_two_stage(
             _linearized(merged, g_hat, iq, ii),
             np.ones(iq.size, dtype=bool),
         )
-        _, fit = fit_sensitivity(mset, cfg, database, basis)
+        _, fit = fit_sensitivity(mset, cfg, basis)
 
     with _stage("2 (gamut map)"):
         s_pred = p_rows[vq] @ fit.omega_hat.channels

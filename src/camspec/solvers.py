@@ -15,16 +15,22 @@ import numpy as np
 
 from .errors import ConvergenceError, RankDeficiencyError
 
+#: The largest constraint violation and KKT residual an ``lsi`` solution may keep.
+_VIOLATION_TOL = 1e-10
+_KKT_TOL = 1e-8
+#: The gap ``strictly_increasing`` enforces between neighbours.
+_MIN_STEP = 1e-9
 
-def nnls(a: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> np.ndarray:
-    """Solve min ||a x - b|| subject to x >= 0 (Lawson-Hanson active set)."""
+
+def nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve min ||a x - b|| subject to x >= 0 (Lawson-Hanson active set),
+    in at most max(10 n, 50) iterations for n columns."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = a.shape
     if b.shape != (m,):
         raise ValueError(f"shape mismatch: a is {a.shape}, b is {b.shape}")
-    if max_iter is None:
-        max_iter = max(10 * n, 50)
+    max_iter = max(10 * n, 50)
 
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
@@ -69,7 +75,7 @@ def nnls(a: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> np.ndarra
     return x
 
 
-def ldp(g: np.ndarray, h: np.ndarray, max_iter: int | None = None) -> np.ndarray:
+def ldp(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Least-distance program: min ||z|| subject to g z >= h."""
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -79,7 +85,7 @@ def ldp(g: np.ndarray, h: np.ndarray, max_iter: int | None = None) -> np.ndarray
     e = np.concatenate([g.T, h[None, :]], axis=0)  # (n+1, m)
     f = np.zeros(n + 1)
     f[n] = 1.0
-    u = nnls(e, f, max_iter=max_iter)
+    u = nnls(e, f)
     r = e @ u - f
     if np.linalg.norm(r) <= 1e-12:
         raise ConvergenceError("ldp: constraint set is infeasible")
@@ -94,20 +100,12 @@ class LsiResult:
     residual_norm: float  # ||a x - y||
 
 
-def lsi(
-    a: np.ndarray,
-    y: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray | None = None,
-    max_iter: int | None = None,
-    violation_tol: float = 1e-10,
-    kkt_tol: float = 1e-8,
-) -> LsiResult:
+def lsi(a: np.ndarray, y: np.ndarray, g: np.ndarray, h: np.ndarray | None = None) -> LsiResult:
     """Inequality-constrained least squares: min ||a x - y|| s.t. g x >= h.
 
     Requires a to have full column rank; the QR factor is checked and a
     RankDeficiencyError names the failure otherwise. The returned solution
-    has been verified against the stated feasibility and KKT tolerances.
+    has been verified against ``_VIOLATION_TOL`` and ``_KKT_TOL``.
     """
     a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -116,8 +114,6 @@ def lsi(
     if h is None:
         h = np.zeros(g.shape[0])
     h = np.asarray(h, dtype=float)
-    if max_iter is None:
-        max_iter = 100 * n
 
     q, r = np.linalg.qr(a)
     diag = np.abs(np.diag(r))
@@ -127,7 +123,7 @@ def lsi(
         )
     w = q.T @ y
     gr = np.linalg.solve(r.T, g.T).T  # g @ inv(r)
-    z = ldp(gr, h - gr @ w, max_iter=max_iter)
+    z = ldp(gr, h - gr @ w)
     x = np.linalg.solve(r, z + w)
 
     slack = g @ x - h
@@ -135,14 +131,14 @@ def lsi(
     grad = a.T @ (a @ x - y)
     active = slack <= 1e-8 * max(1.0, np.abs(slack).max(initial=0.0))
     if active.any():
-        lam = nnls(g[active].T, grad, max_iter=max_iter)
+        lam = nnls(g[active].T, grad)
         kkt = float(np.abs(grad - g[active].T @ lam).max(initial=0.0))
     else:
         kkt = float(np.abs(grad).max(initial=0.0))
-    if max_violation > violation_tol or kkt > kkt_tol:
+    if max_violation > _VIOLATION_TOL or kkt > _KKT_TOL:
         raise ConvergenceError(
             f"lsi failed verification: max constraint violation {max_violation:.3e} "
-            f"(tol {violation_tol:.1e}), KKT residual {kkt:.3e} (tol {kkt_tol:.1e})"
+            f"(tol {_VIOLATION_TOL:.1e}), KKT residual {kkt:.3e} (tol {_KKT_TOL:.1e})"
         )
     return LsiResult(
         x=x,
@@ -171,19 +167,19 @@ def isotonic_projection(y: np.ndarray) -> np.ndarray:
     return np.repeat(levels, counts)
 
 
-def strictly_increasing(y: np.ndarray, min_step: float = 1e-9) -> np.ndarray:
+def strictly_increasing(y: np.ndarray) -> np.ndarray:
     """Isotonic projection followed by a forward sweep enforcing a minimal gap.
 
-    The sweep perturbs pooled (flat) runs by multiples of ``min_step``,
+    The sweep perturbs pooled (flat) runs by multiples of ``_MIN_STEP``,
     which is far below every tolerance the response tables are used at.
     Input that already keeps the gap is returned as a copy; NaN takes the full path.
     """
     y = np.asarray(y, dtype=float)
-    if np.all(y[1:] >= y[:-1] + min_step):
+    if np.all(y[1:] >= y[:-1] + _MIN_STEP):
         return y.copy()
     out = isotonic_projection(y)
     for i in range(1, out.size):
-        floor = out[i - 1] + min_step
+        floor = out[i - 1] + _MIN_STEP
         if out[i] < floor:
             out[i] = floor
     return out

@@ -179,6 +179,40 @@ class TestFitGamutMap:
         with pytest.raises(DegenerateGeometryError):
             fit_gamut_map(s, s)
 
+    def test_coplanar_samples_raise(self):
+        rng = np.random.default_rng(9)
+        uv = rng.uniform(0, 1, size=(20, 2))
+        s = np.column_stack([uv, 0.5 - uv.sum(axis=1)])  # on the plane x + y + z = 0.5
+        with pytest.raises(DegenerateGeometryError):
+            fit_gamut_map(s, s)
+
+    @pytest.mark.parametrize("factor", [0.9, 1.1])
+    def test_degeneracy_verdict_is_matrix_rank_at_its_cutoff(self, factor):
+        """The design [S, 1]'s fourth singular value a tenth below or above
+        eps * max(N, 4) * the largest one: a fit is refused exactly when
+        np.linalg.matrix_rank counts fewer than 4."""
+        n = 64
+        rng = np.random.default_rng(10)
+        xy = rng.uniform(0.1, 1.0, size=(n, 2))
+        flat = np.column_stack([xy, np.zeros(n), np.ones(n)])
+        # The z column: a unit vector orthogonal to the other three columns,
+        # so it alone sets the fourth singular value.
+        z = rng.normal(size=n)
+        z -= flat[:, [0, 1, 3]] @ np.linalg.lstsq(flat[:, [0, 1, 3]], z, rcond=None)[0]
+        z /= np.linalg.norm(z)
+        cutoff = np.finfo(float).eps * n * np.linalg.svd(flat, compute_uv=False)[0]
+        s = np.column_stack([xy, factor * cutoff * z])
+        design = np.column_stack([s, np.ones(n)])
+        sv = np.linalg.svd(design, compute_uv=False)
+        assert sv[3] / (sv[0] * np.finfo(float).eps * n) == pytest.approx(factor, rel=1e-3)
+        full_rank = np.linalg.matrix_rank(design) == 4
+        assert full_rank == (factor > 1)
+        if full_rank:
+            fit_gamut_map(s, s, max_centers=4)
+        else:
+            with pytest.raises(DegenerateGeometryError):
+                fit_gamut_map(s, s, max_centers=4)
+
     def test_too_few_samples_raise(self):
         s = np.eye(3)
         with pytest.raises(ValueError, match="at least 4"):

@@ -15,6 +15,7 @@ from camspec import (
     generate_synthetic_dataset,
     run_two_stage,
     synthetic_camera,
+    synthetic_database,
     synthetic_gamut_warp,
 )
 from camspec.errors import GridMismatchError, PipelineError
@@ -174,20 +175,37 @@ class TestRunTwoStageSensitivityFit:
     def test_folds_do_not_change_the_camera(self, identity_setup):
         _, data, est, basis = identity_setup
         one = run_two_stage(data, PipelineConfig(folds=1), basis=basis)
-        pairs = [
-            (one.camera.omega.channels, est.camera.omega.channels),
-            (one.camera.response.ln_e, est.camera.response.ln_e),
-            (one.camera.gamut.centers, est.camera.gamut.centers),
-            (one.camera.gamut.weights, est.camera.gamut.weights),
-            (one.camera.gamut.affine, est.camera.gamut.affine),
-            (one.camera.gamut.kernel_width, est.camera.gamut.kernel_width),
-            (one.stage1.reciprocity.max_abs_deviation, est.stage1.reciprocity.max_abs_deviation),
-            (one.stage2.gamut_training_rms, est.stage2.gamut_training_rms),
-        ]
-        for got, want in pairs:
-            np.testing.assert_array_equal(got, want)
-        assert (one.stage1.inner_count, one.stage1.outer_count) == (
-            est.stage1.inner_count, est.stage1.outer_count)
+        _assert_same_fit(one, est)
+
+    def test_no_basis_means_the_stand_in_basis(self):
+        """``basis=None`` fits on the basis of the stand-in database that the config names."""
+        truth = synthetic_camera(GRID, gamut=synthetic_gamut_warp(0.8, 0.06, seed=2))
+        data = generate_synthetic_dataset(truth, 6, 24, [0.5, 1.0, 2.0], seed=9)
+        cfg = PipelineConfig(seed=3, database_entries=12, basis_dim=5)
+        stand_in = synthetic_database(GRID, cfg.database_entries, cfg.seed)
+        given = run_two_stage(data, cfg, basis=build_basis(stand_in, cfg.basis_dim))
+        _assert_same_fit(given, run_two_stage(data, cfg))
+
+
+def _assert_same_fit(got, want) -> None:
+    """Every table of two fits' cameras and diagnostics is bit-identical."""
+    pairs = [
+        (got.camera.omega.channels, want.camera.omega.channels),
+        (got.camera.response.ln_e, want.camera.response.ln_e),
+        (got.camera.gamut.centers, want.camera.gamut.centers),
+        (got.camera.gamut.weights, want.camera.gamut.weights),
+        (got.camera.gamut.affine, want.camera.gamut.affine),
+        (got.camera.gamut.kernel_width, want.camera.gamut.kernel_width),
+        (got.stage1.reciprocity.max_abs_deviation, want.stage1.reciprocity.max_abs_deviation),
+        (got.stage1.reciprocity.mean_abs_deviation, want.stage1.reciprocity.mean_abs_deviation),
+        (got.stage1.reciprocity.n_pairs, want.stage1.reciprocity.n_pairs),
+        (got.stage2.gamut_training_rms, want.stage2.gamut_training_rms),
+        (got.stage2.gamut_training_max_abs, want.stage2.gamut_training_max_abs),
+    ]
+    for g, w in pairs:
+        np.testing.assert_array_equal(g, w)
+    assert (got.stage1.inner_count, got.stage1.outer_count) == (
+        want.stage1.inner_count, want.stage1.outer_count)
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,11 @@ class TestEstimateConstrained:
         # nnls fix (ROADMAP item 1) mends; masked rows must not change
         # that outcome either.
         cv_masked, cv_removed = (_cv_outcome(m, basis) for m in (masked, removed))
+        assert re.fullmatch(
+            r"ConvergenceError: lsi failed verification: max constraint violation 0\.000e\+00 "
+            r"\(tol 1\.0e-10\), KKT residual \d\.\d{3}e-\d\d \(tol 1\.0e-08\)",
+            cv_masked["error"],
+        )
         assert cv_masked.keys() == cv_removed.keys()
         for key, value in cv_masked.items():
             np.testing.assert_array_equal(value, cv_removed[key])
