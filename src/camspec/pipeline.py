@@ -1,11 +1,15 @@
 """Two-stage camera estimation and evaluation.
 
 Estimating the sensitivity, response, and gamut map simultaneously is
-ill-posed, so stage 1 restricts itself to inner-gamut samples (where the
-gamut map is close to identity) and recovers the response and sensitivity
-there; stage 2 then fits the gamut map over every unsaturated sample using
-the stage-1 estimates to synthesize its inputs and targets. The camera is
-built from those fits alone; nothing here cross-validates them.
+ill-posed. Exposure scales the gamut map's output (``io.EXPOSURE_CONVENTION
+= "after_gamut"``), so every unsaturated sample of a patch obeys
+z = g(h(S) t) with one unknown h(S) per patch: stage 1 recovers the
+response from every unsaturated sample, then restricts itself to
+inner-gamut samples (where the gamut map is close to identity) to recover
+the sensitivity; stage 2 then fits the gamut map over every unsaturated
+sample using the stage-1 estimates to synthesize its inputs and targets.
+The camera is built from those fits alone; nothing here cross-validates
+them.
 
 Everything here is deterministic given the input data, the config, and
 the seed.
@@ -143,22 +147,16 @@ def _linearized(stack: ExposureStack, curve: ResponseCurve, q, i) -> np.ndarray:
     return lin / stack.exposures[i][:, None]
 
 
-def _inner_mask(
-    stack: ExposureStack, curve: ResponseCurve, vq, vi, cfg: PipelineConfig
-) -> np.ndarray:
-    """Inner-gamut samples under the linearization ``curve``; fewer than
-    ``cfg.min_inner`` is a PipelineError."""
-    proxies = _linearized(stack, curve, vq, vi)
-    part = partition_gamut(proxies, cfg.alpha)
-    mask = np.zeros((stack.n_patches, stack.n_exposures), dtype=bool)
-    mask[vq[part.inner_indices], vi[part.inner_indices]] = True
-    count = int(mask.sum())
-    if count < cfg.min_inner:
+def _inner_samples(lin: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
+    """Indices of the inner-gamut rows of the linear intensities ``lin``;
+    fewer than ``cfg.min_inner`` is a PipelineError."""
+    inner = partition_gamut(lin, cfg.alpha).inner_indices
+    if inner.size < cfg.min_inner:
         raise PipelineError(
-            f"stage 1: only {count} inner-gamut samples (need >= {cfg.min_inner}); "
+            f"stage 1: only {inner.size} inner-gamut samples (need >= {cfg.min_inner}); "
             f"increase alpha (currently {cfg.alpha}) or add near-neutral patches"
         )
-    return mask
+    return inner
 
 
 def fit_sensitivity(
@@ -191,11 +189,13 @@ def run_two_stage(
 ) -> EstimatedCamera:
     """Estimate sensitivity, response, and gamut map from calibration data.
 
-    Stage 1 bootstraps the gamut partition with a provisional gamma-2.2
-    linearization, fits the response on inner-gamut samples, re-partitions
-    once with the fitted response, refits, and estimates the sensitivity
-    on the refined inner set with one constrained fit on ``basis`` (None: the
-    stand-in basis, see ``fit_sensitivity``), not cross-validated.
+    Stage 1 fits the response once, on every unsaturated sample: exposure
+    scales the gamut map's output (the after-gamut convention), so inner and
+    outer samples alike fit the exposure-stack equations with one unknown
+    per patch. It then partitions the samples under that response and
+    estimates the sensitivity on the inner set with one constrained fit on
+    ``basis`` (None: the stand-in basis, see ``fit_sensitivity``), not
+    cross-validated.
     Stage 2 fits the gamut map over all unsaturated samples, mapping
     predicted raw tristimulus values onto the response-linearized measurements.
     """
@@ -206,31 +206,20 @@ def run_two_stage(
     if vq.size == 0:
         raise PipelineError("stage 1: every sample is saturated; nothing to fit")
 
-    g_hat = ResponseCurve.from_gamma(2.2, merged.bit_depth)  # provisional
-
     with _stage("1 (response)"):
-        for _ in range(2):  # partition under the current curve, then refit it there
-            mask = _inner_mask(merged, g_hat, vq, vi, cfg)
-            g_hat = estimate_response(
-                merged, sample_mask=mask, smoothness_lambda=cfg.smoothness_lambda
-            )
+        g_hat = estimate_response(merged, smoothness_lambda=cfg.smoothness_lambda)
+        e_lin = _linearized(merged, g_hat, vq, vi)
+        inner = _inner_samples(e_lin, cfg)
 
     with _stage("1 (sensitivity)"):
-        iq, ii = np.nonzero(mask)
-        mset = MeasurementSet(
-            inp.grid,
-            p_rows[iq],
-            _linearized(merged, g_hat, iq, ii),
-            np.ones(iq.size, dtype=bool),
-        )
+        mset = MeasurementSet(inp.grid, p_rows[vq[inner]], e_lin[inner],
+                              np.ones(inner.size, dtype=bool))
         _, fit = fit_sensitivity(mset, cfg, basis)
 
     with _stage("2 (gamut map)"):
-        s_pred = p_rows[vq] @ fit.omega_hat.channels
-        e_targets = _linearized(merged, g_hat, vq, vi)
         gfit = fit_gamut_map(
-            s_pred,
-            e_targets,
+            p_rows[vq] @ fit.omega_hat.channels,
+            e_lin,
             max_centers=cfg.rbf_max_centers,
             ridge=cfg.rbf_ridge,
             kernel_width=cfg.rbf_kernel_width,
@@ -246,11 +235,7 @@ def run_two_stage(
         sat_hi=merged.sat_hi,
     )
     reciprocity = check_exposure_reciprocity(merged, g_hat)
-    stage1 = Stage1Diagnostics(
-        inner_count=int(mask.sum()),
-        outer_count=int(vq.size - mask.sum()),
-        reciprocity=reciprocity,
-    )
+    stage1 = Stage1Diagnostics(inner.size, vq.size - inner.size, reciprocity)
     stage2 = Stage2Diagnostics(gfit.training_rms, gfit.training_max_abs)
     return EstimatedCamera(camera, stage1, stage2)
 

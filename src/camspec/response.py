@@ -243,9 +243,26 @@ class _ChannelSystem:
         gram[self.anchor, self.anchor] = 1.0
         return gram
 
+    def coupling(self, v):
+        """C v for v (patches,): zero in the anchor row."""
+        out = np.bincount(self.codes, self.w2 * v[self.patch], self.code_w2.size)
+        out[self.anchor] = 0.0
+        return out
+
     def coupling_t(self, v):
-        """C^T v for v (codes, ...) whose anchor row is zero."""
-        return np.einsum("pe,pe...->p...", self.slot_w2, v[self.slot_code])
+        """C^T v for v (codes,) whose anchor entry is zero."""
+        return np.einsum("pe,pe->p", self.slot_w2, v[self.slot_code])
+
+    def capacitance(self, y):
+        """W - C^T y for y (codes, patches) whose anchor row is zero, summed
+        one exposure slot at a time in place: one P x P temporary."""
+        cap = np.diag(self.w2_patch)
+        for code, w2 in zip(self.slot_code.T, self.slot_w2.T):
+            rows = y[code]
+            rows *= w2[:, None]
+            cap -= rows
+            del rows  # before the next slot's rows exist
+        return cap
 
 
 def _dense_solver(systems: list[_ChannelSystem]):
@@ -257,13 +274,16 @@ def _dense_solver(systems: list[_ChannelSystem]):
 
 def _code_block_solver(systems: list[_ChannelSystem]):
     """Solve G x = r by eliminating the code block instead of the patch
-    block: G^-1 r = u + Y K^-1 C^T u, where u = B^-1 r, Y = B^-1 C and
-    K = W - C^T Y is the P x P capacitance (Woodbury). One banded LDL^T of B
-    per system; each banded pass runs over every system at once.
+    block: G^-1 r = u + B^-1 C K^-1 C^T u, where u = B^-1 r and
+    K = W - C^T B^-1 C is the P x P capacitance (Woodbury). One banded
+    LDL^T of B per system; each banded pass runs over every system at once.
 
     Returns a function that solves for right-hand sides, one per system;
-    each call costs two banded sweeps and the P x P solves. The first call's
-    ride as one more column of the pass that builds Y, bit for bit.
+    each call costs two banded passes and the P x P solves. The first call's
+    ride as one more column of the pass over C that builds each K, bit for
+    bit; that (m, systems, P + 1) block then goes, so only the factor and
+    the capacitances stay between solves, and the peak is the block, the
+    capacitances and one P x P temporary.
     """
     s0 = systems[0]
     factor = _band_factor(s0.sw, np.array([s.code_w2 for s in systems]), s0.anchor)
@@ -271,22 +291,22 @@ def _code_block_solver(systems: list[_ChannelSystem]):
     for j, s in enumerate(systems):
         np.add.at(block[:, j], (s.codes, s.patch), s.w2)  # C, then its anchor row zeroed
         block[s.anchor, j] = 0.0
-    ys, caps = [], []
+    caps = []
 
     def solve(rs):
+        nonlocal block
         u = np.stack(rs, axis=1)[:, :, None]
-        if ys:
+        if caps:
             _band_solve(factor, u)
         else:  # the first right-hand sides: the block's last column
             block[:, :, -1:] = u
             _band_solve(factor, block)
-            ys.extend(block[:, j, : s.n_patches] for j, s in enumerate(systems))
-            caps.extend(np.diag(s.w2_patch) - s.coupling_t(y) for s, y in zip(systems, ys))
-            u = block[:, :, -1:]
-        return [
-            u[:, j, 0] + y @ np.linalg.solve(cap, s.coupling_t(u[:, j, 0]))
-            for j, (s, y, cap) in enumerate(zip(systems, ys, caps))
-        ]
+            caps.extend(s.capacitance(block[:, j, : s.n_patches]) for j, s in enumerate(systems))
+            u, block = block[:, :, -1:].copy(), None
+        cv = np.stack([s.coupling(np.linalg.solve(cap, s.coupling_t(u[:, j, 0])))
+                       for j, (s, cap) in enumerate(zip(systems, caps))], axis=1)[:, :, None]
+        _band_solve(factor, cv)
+        return list((u + cv)[:, :, 0].T)
 
     return solve
 
@@ -300,8 +320,9 @@ def estimate_response(
     """Recover the per-channel response from an exposure stack.
 
     ``sample_mask`` (n_patch, n_exp) optionally restricts the fit to a
-    subset of samples (the pipeline passes inner-gamut membership); it is
-    intersected with the stack's own validity flags.
+    subset of samples (the pipeline passes none: under the after-gamut
+    convention every unsaturated sample fits); it is intersected with the
+    stack's own validity flags.
 
     ``smoothness_lambda`` (positive) scales the curvature penalty.
 

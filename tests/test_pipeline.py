@@ -22,7 +22,7 @@ from camspec.errors import GridMismatchError, PipelineError
 from camspec.gamut import apply_gamut_map_batch
 from camspec.synthetic import _smooth, camera_in_basis_span, spanning_database
 from camspec.spectral import spectral_product
-from support import eq1_pixel_oracle, gauge_aligned_code_error
+from support import eq1_pixel_oracle, gauge_aligned_code_error, loglog_exponent
 
 GRID = DEFAULT_GRID
 
@@ -208,26 +208,30 @@ def _assert_same_fit(got, want) -> None:
         want.stage1.inner_count, want.stage1.outer_count)
 
 
+def warped_data(parents, strength: float):
+    warp = synthetic_gamut_warp(scale=0.83, strength=strength, seed=5)
+    truth = camera_in_basis_span(GRID, parents, gamma=2.2, gamut=warp)
+    return truth, generate_synthetic_dataset(truth, 10, 32, [0.5, 1.0, 2.0], seed=42)
+
+
 @pytest.fixture(scope="module")
 def warped_setup(span_basis):
     parents, basis = span_basis
-    warp = synthetic_gamut_warp(scale=0.83, strength=0.06, seed=5)
-    truth = camera_in_basis_span(GRID, parents, gamma=2.2, gamut=warp)
-    data = generate_synthetic_dataset(truth, 10, 32, [0.5, 1.0, 2.0], seed=42)
+    truth, data = warped_data(parents, 0.06)
     est = run_two_stage(data, PipelineConfig(), basis=basis)
-    return truth, est
+    return truth, est, data
 
 
 class TestRunTwoStageNonlinearGamut:
     def test_held_out_prediction_under_three_codes(self, warped_setup):
-        truth, est = warped_setup
+        truth, est, _ = warped_setup
         held = generate_synthetic_dataset(truth, 5, 16, [0.6, 1.3], seed=999)
         report = evaluate(est, held, disjoint_from_training=True)
         assert report.unsaturated is not None
         assert report.unsaturated.rmse.max() < 3.0
 
     def test_saturated_split_never_mixes(self, warped_setup):
-        truth, est = warped_setup
+        truth, est, _ = warped_setup
         held = generate_synthetic_dataset(truth, 5, 16, [0.6, 1.3], seed=999)
         report = evaluate(est, held, disjoint_from_training=True)
         n_rows = report.measured.size
@@ -244,7 +248,7 @@ class TestRunTwoStageNonlinearGamut:
             )
 
     def test_fitted_gamut_map_improves_prediction(self, warped_setup):
-        truth, est = warped_setup
+        truth, est, _ = warped_setup
         held = generate_synthetic_dataset(truth, 5, 16, [0.6, 1.3], seed=999)
         stripped = CameraModel(
             grid=est.camera.grid,
@@ -260,7 +264,40 @@ class TestRunTwoStageNonlinearGamut:
         assert with_map < without
 
 
+class TestRunTwoStageResponse:
+    """Exposure scales the gamut map's output (the after-gamut convention),
+    so stage 1 fits the response once, on every unsaturated sample: the
+    inner-gamut partition, which picks the sensitivity rows, cannot reach it."""
+
+    @pytest.mark.parametrize("alpha, min_inner", [(a, n) for a in (0.5, 0.6, 0.9) for n in (1, 20)])
+    def test_response_does_not_depend_on_the_partition(self, span_basis, warped_setup,
+                                                       alpha, min_inner):
+        _, est, data = warped_setup
+        got = run_two_stage(data, PipelineConfig(alpha=alpha, min_inner=min_inner),
+                            basis=span_basis[1])
+        assert np.array_equal(got.camera.response.ln_e, est.camera.response.ln_e)
+
+    def test_strong_warp_response_with_outer_samples_meets_criterion_3(self, span_basis):
+        parents, basis = span_basis
+        truth, data = warped_data(parents, 0.12)
+        est = run_two_stage(data, PipelineConfig(), basis=basis)
+        assert est.stage1.outer_count >= 90  # samples the response fit used, outside the gamut
+        response = est.camera.response
+        assert gauge_aligned_code_error(response, truth.response, 20, 220).max() < 2.0
+        assert np.all(np.abs(loglog_exponent(response) - 2.2) <= 0.05)
+
+
 class TestRunTwoStageErrors:
+    def test_min_inner_above_the_inner_count_is_refused(self, identity_setup):
+        _, data, est, basis = identity_setup
+        count = est.stage1.inner_count
+        with pytest.raises(PipelineError) as info:
+            run_two_stage(data, PipelineConfig(min_inner=count + 1), basis=basis)
+        assert str(info.value) == (
+            f"stage 1: only {count} inner-gamut samples (need >= {count + 1}); "
+            "increase alpha (currently 0.6) or add near-neutral patches"
+        )
+
     def test_too_few_inner_gamut_samples(self, span_basis):
         parents, basis = span_basis
         truth = camera_in_basis_span(GRID, parents, gamma=2.2)

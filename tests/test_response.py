@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -365,6 +366,67 @@ class TestSolvedRange:
         for s in systems:
             assert s.code_w2.size == 2**8 and s.anchor == 2**7
             np.testing.assert_array_equal(s.sw, 20.0 * response.hat_weights(2**8)[1:-1])
+
+
+@pytest.fixture(scope="module")
+def fit_s10_stack():
+    """The fit-s10 benchmark's calibration set, every unsaturated sample: in
+    each channel P = 320 active patches against m = 896 solved codes, so
+    P >= m / 3 and the P x P capacitances weigh beside the (m, 3, P + 1) block."""
+    return synthetic_stack(10, 10, 32, seed=42)
+
+
+def arrays_in(obj) -> list:
+    """Every ndarray that obj holds through lists, tuples and closures."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in arrays_in(item)]
+    cells = getattr(obj, "__closure__", None) or ()
+    return [a for cell in cells for a in arrays_in(cell.cell_contents)]
+
+
+class TestLeanCodeBlock:
+    """The code-block path uses Y = B^-1 C once, to build each capacitance,
+    and then drops it: later solves apply B^-1 to C K^-1 C^T u instead."""
+
+    def test_all_sample_ten_bit_stack_matches_the_dense_oracle(self, monkeypatch, fit_s10_stack):
+        seen = spy_on(monkeypatch, "_code_block_solver")
+        fit = estimate_response(fit_s10_stack)
+        [(systems, _, _)] = seen
+        m = systems[0].code_w2.size
+        assert all(m / 3 <= s.n_patches < m - 1 for s in systems)
+        assert np.abs(fit.ln_e - response_dense_oracle(fit_s10_stack)).max() <= 1e-9
+        monkeypatch.setattr(response, "_code_block_solver", response._dense_solver)
+        assert np.abs(fit.ln_e - estimate_response(fit_s10_stack).ln_e).max() <= 1e-12
+
+    def test_no_m_by_p_array_stays_between_solves(self, monkeypatch, fit_s10_stack):
+        seen = spy_on(monkeypatch, "_code_block_solver")
+        estimate_response(fit_s10_stack)
+        [(systems, solve, calls)] = seen
+        assert len(calls) == 2
+        m, p = systems[0].code_w2.size, min(s.n_patches for s in systems)
+        kept = arrays_in(solve)
+        assert len(kept) > len(systems)  # the factor's and the capacitances
+        assert max(a.size for a in kept) < m * p
+
+    def test_peak_memory_is_the_block_and_the_capacitances(self, monkeypatch, fit_s10_stack):
+        # The block of C and the first right-hand sides, the three P x P
+        # capacitances and one P x P temporary, plus 1 MiB for the factor,
+        # the systems' per-sample arrays and the right-hand sides (about
+        # 0.6 MB here). A (P, n_exp, P) gather per capacitance breaks it.
+        seen = spy_on(monkeypatch, "_code_block_solver")
+        estimate_response(fit_s10_stack)  # so the traced call makes no first-call imports
+        [(systems, _, _)] = seen
+        m, ps = systems[0].code_w2.size, [s.n_patches for s in systems]
+        bound = 8 * (m * len(systems) * (max(ps) + 1) + sum(p * p for p in ps) + max(ps) ** 2)
+        tracemalloc.start()
+        try:
+            estimate_response(fit_s10_stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound + 2**20
 
 
 class TestDenseGram:
