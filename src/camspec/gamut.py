@@ -168,12 +168,12 @@ class GamutFitResult:
     training_max_abs: np.ndarray  # (3,)
 
 
-def _farthest_point_centers(pts: np.ndarray, k: int) -> np.ndarray:
+def _farthest_point_centers(pts: np.ndarray, k: int, centroid: np.ndarray) -> np.ndarray:
     """Deterministic farthest-point sampling; first pick is the point
-    farthest from the centroid, ties resolved to the lowest index."""
+    farthest from ``centroid``, ties resolved to the lowest index."""
     if k >= pts.shape[0]:
         return pts.copy()
-    chosen = [int(np.argmax(_sq_dist(pts, pts.mean(axis=0)[None])))]
+    chosen = [int(np.argmax(_sq_dist(pts, centroid[None])))]
     dist = _sq_dist(pts, pts[chosen])
     while len(chosen) < k:
         nxt = int(np.argmax(dist))
@@ -207,6 +207,14 @@ def fit_gamut_map(
     number): the ridge penalizes the weights, not the kernel matrix. With
     ridge 0 and every sample kept as a center the solve is an exact
     interpolation.
+
+    A run of n equal consecutive rows of ``s_samples`` (one patch's
+    exposures in ``run_two_stage``) is fitted once, as one row weighted by
+    sqrt(n) toward the run's mean target. That is exact: over the run,
+    sum |a - e_i|^2 = n |a - mean(e)|^2 + a constant. The rank cutoffs keep
+    their per-sample values, farthest-point sampling starts from the mean of
+    every sample, and each distinct point is at most one center. Rows
+    without repeats run the per-sample arithmetic bit for bit.
     """
     s = np.asarray(s_samples, dtype=float)
     e = np.asarray(e_targets, dtype=float)
@@ -218,30 +226,39 @@ def fit_gamut_map(
     if not np.isfinite(e).all():
         raise ValueError("targets must be finite")
 
-    design = np.column_stack([s, np.ones(n)])
-    # lstsq's rank has matrix_rank's cutoff: eps * max(N, 4) * the largest singular value.
-    affine_t, _, rank, _ = np.linalg.lstsq(design, e, rcond=None)  # (4, 3)
+    new_run = np.ones(n, dtype=bool)
+    new_run[1:] = (s[1:] != s[:-1]).any(axis=1)
+    first = np.flatnonzero(new_run)
+    count = np.diff(first, append=n)[:, None]
+    pts, root = s[first], np.sqrt(count)
+    e_mean = np.add.reduceat(e, first, axis=0) / count
+    eps = np.finfo(float).eps
+
+    design = np.column_stack([pts, np.ones(len(pts))])
+    # lstsq's rank has matrix_rank's cutoff on the per-sample design [S, 1]:
+    # eps * max(N, 4) * the largest singular value.
+    affine_t, _, rank, _ = np.linalg.lstsq(root * design, root * e_mean, rcond=eps * max(n, 4))
     if rank < 4:
         raise DegenerateGeometryError(
             "samples are affinely degenerate (collinear/coplanar); cannot fit a 3-D map"
         )
-    resid = e - design @ affine_t
+    resid = e_mean - design @ affine_t
 
     if not max_centers >= 1:
         raise ValueError(f"max_centers must be at least 1, got {max_centers}")
-    k = min(max_centers, n)
-    centers = _farthest_point_centers(s, k)
+    k = min(max_centers, len(pts))
+    centers = _farthest_point_centers(pts, k, s.mean(axis=0))
     width = kernel_width if kernel_width is not None else _median_pairwise(centers)
     if not width > 0:
         raise ValueError(f"kernel width must be positive, got {width}")
     if not ridge >= 0:
         raise ValueError(f"ridge must be nonnegative, got {ridge}")
 
-    phi = _kernel_matrix(s, centers, width)
-    stacked = np.vstack([phi, np.sqrt(ridge) * np.eye(k)])
-    rhs = np.vstack([resid, np.zeros((k, 3))])
+    phi = _kernel_matrix(pts, centers, width)
+    stacked = np.vstack([root * phi, np.sqrt(ridge) * np.eye(k)])
+    rhs = np.vstack([root * resid, np.zeros((k, 3))])
     try:
-        weights, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
+        weights, *_ = np.linalg.lstsq(stacked, rhs, rcond=eps * (n + k))
     except np.linalg.LinAlgError as exc:
         raise RankDeficiencyError(f"gamut-map system is singular after ridge: {exc}") from exc
 
@@ -252,7 +269,7 @@ def fit_gamut_map(
         ridge=float(ridge),
         affine=affine_t.T,
     )
-    err = _evaluate(gmap, s, phi) - e
+    err = _evaluate(gmap, pts, phi)[np.cumsum(new_run) - 1] - e
     return GamutFitResult(
         map=gmap,
         training_rms=np.sqrt((err**2).mean(axis=0)),

@@ -197,7 +197,8 @@ def run_two_stage(
     ``basis`` (None: the stand-in basis, see ``fit_sensitivity``), not
     cross-validated.
     Stage 2 fits the gamut map over all unsaturated samples, mapping
-    predicted raw tristimulus values onto the response-linearized measurements.
+    predicted raw tristimulus values onto the response-linearized measurements;
+    a patch's samples share one input, so each patch is fitted once.
     """
     cfg = cfg or PipelineConfig()
     merged, p_rows = _merge_stacks(inp)
@@ -217,8 +218,9 @@ def run_two_stage(
         _, fit = fit_sensitivity(mset, cfg, basis)
 
     with _stage("2 (gamut map)"):
+        # S per patch: each patch's samples are equal rows, fitted once.
         gfit = fit_gamut_map(
-            p_rows[vq] @ fit.omega_hat.channels,
+            (p_rows @ fit.omega_hat.channels)[vq],
             e_lin,
             max_centers=cfg.rbf_max_centers,
             ridge=cfg.rbf_ridge,

@@ -314,15 +314,10 @@ def _code_block_solver(systems: list[_ChannelSystem]):
 def estimate_response(
     stack: ExposureStack,
     *,
-    sample_mask: np.ndarray | None = None,
     smoothness_lambda: float = 50.0,
 ) -> ResponseCurve:
-    """Recover the per-channel response from an exposure stack.
-
-    ``sample_mask`` (n_patch, n_exp) optionally restricts the fit to a
-    subset of samples (the pipeline passes none: under the after-gamut
-    convention every unsaturated sample fits); it is intersected with the
-    stack's own validity flags.
+    """Recover the per-channel response from every unsaturated sample of an
+    exposure stack.
 
     ``smoothness_lambda`` (positive) scales the curvature penalty.
 
@@ -368,12 +363,6 @@ def estimate_response(
     anchor = n // 2
 
     usable = stack.triplet_valid
-    if sample_mask is not None:
-        mask = np.asarray(sample_mask, dtype=bool)
-        if mask.shape != usable.shape:
-            raise ValueError(f"sample_mask must be {usable.shape}, got {mask.shape}")
-        usable = usable & mask
-
     w_of = hat_weights(n)
     sw = smoothness_lambda * w_of[1:-1]
     log_e = np.log(stack.exposures)

@@ -73,6 +73,17 @@ def reciprocity_oracle(samples, exposures, ln_e, sat_lo: int, sat_hi: int) -> li
     return out
 
 
+def masked_stack(stack, mask):
+    """The stack with every triplet outside the (n_patch, n_exp) ``mask``
+    set to code 0. Code 0 is below a positive ``sat_lo``, so those triplets
+    are saturated and no response fit uses them."""
+    from camspec import ExposureStack
+
+    assert stack.sat_lo > 0, "code 0 must be below sat_lo to exclude a triplet"
+    samples = np.where(np.asarray(mask, dtype=bool)[:, :, None], stack.samples, 0)
+    return ExposureStack(stack.exposures, samples, stack.bit_depth, stack.sat_lo, stack.sat_hi)
+
+
 def response_dense_oracle(stack, lam: float = 50.0, mask=None) -> np.ndarray:
     """ln g^-1 tables (3, 2^bits) from the Debevec & Malik system with one
     unknown per code and one log-exposure per patch, built row by row and

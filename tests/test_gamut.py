@@ -27,6 +27,36 @@ from camspec.gamut import (
 from support import farthest_point_loop, kernel_matrix_broadcast
 
 
+def per_sample_fit(s, e, max_centers, ridge):
+    """The gamut fit with one row per sample in both least-squares systems:
+    centers, width, affine (3, 4), weights, training RMS and max error."""
+    n = s.shape[0]
+    design = np.column_stack([s, np.ones(n)])
+    affine = np.ascontiguousarray(np.linalg.lstsq(design, e, rcond=None)[0].T)
+    resid = e - design @ affine.T
+    centers = farthest_point_loop(s, min(max_centers, n))
+    k = centers.shape[0]
+    d2 = ((centers[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)[np.triu_indices(k, 1)]
+    width = float(np.sqrt(np.median(d2[d2 > 0])))
+    phi = kernel_matrix_broadcast(s, centers, width)
+    weights = np.linalg.lstsq(
+        np.vstack([phi, np.sqrt(ridge) * np.eye(k)]), np.vstack([resid, np.zeros((k, 3))]),
+        rcond=None,
+    )[0]
+    err = s @ affine[:, :3].T + affine[:, 3] + phi @ weights - e
+    return centers, width, affine, weights, np.sqrt((err**2).mean(axis=0)), np.abs(err).max(axis=0)
+
+
+def repeated_samples(seed, n_points=60, max_repeat=5):
+    """Distinct points each repeated 1..max_repeat times in a row, with
+    noisy targets that differ between the repeats."""
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(0.05, 1.0, size=(n_points, 3))
+    s = np.repeat(points, rng.integers(1, max_repeat + 1, size=n_points), axis=0)
+    e = s + 0.1 * np.sin(4.0 * s) + rng.normal(0.0, 0.01, size=s.shape)
+    return s, e
+
+
 class TestRgbToXy:
     def test_equal_rgb_is_d65_white(self):
         x, y = rgb_to_xy((1.0, 1.0, 1.0))
@@ -186,11 +216,13 @@ class TestFitGamutMap:
         with pytest.raises(DegenerateGeometryError):
             fit_gamut_map(s, s)
 
+    @pytest.mark.parametrize("repeat", [1, 3])
     @pytest.mark.parametrize("factor", [0.9, 1.1])
-    def test_degeneracy_verdict_is_matrix_rank_at_its_cutoff(self, factor):
+    def test_degeneracy_verdict_is_matrix_rank_at_its_cutoff(self, factor, repeat):
         """The design [S, 1]'s fourth singular value a tenth below or above
-        eps * max(N, 4) * the largest one: a fit is refused exactly when
-        np.linalg.matrix_rank counts fewer than 4."""
+        eps * max(N, 4) * the largest one, N counting every sample (64
+        points, each written ``repeat`` times in a row): a fit is refused
+        exactly when np.linalg.matrix_rank counts fewer than 4."""
         n = 64
         rng = np.random.default_rng(10)
         xy = rng.uniform(0.1, 1.0, size=(n, 2))
@@ -200,8 +232,9 @@ class TestFitGamutMap:
         z = rng.normal(size=n)
         z -= flat[:, [0, 1, 3]] @ np.linalg.lstsq(flat[:, [0, 1, 3]], z, rcond=None)[0]
         z /= np.linalg.norm(z)
+        n *= repeat
         cutoff = np.finfo(float).eps * n * np.linalg.svd(flat, compute_uv=False)[0]
-        s = np.column_stack([xy, factor * cutoff * z])
+        s = np.repeat(np.column_stack([xy, factor * cutoff * z]), repeat, axis=0)
         design = np.column_stack([s, np.ones(n)])
         sv = np.linalg.svd(design, compute_uv=False)
         assert sv[3] / (sv[0] * np.finfo(float).eps * n) == pytest.approx(factor, rel=1e-3)
@@ -272,6 +305,72 @@ class TestFitGamutMap:
         assert result.map.kernel_width == 0.42
 
 
+class TestRepeatedRows:
+    """A run of equal consecutive rows is fitted once, weighted by the square
+    root of its length, toward its mean target: the per-sample fit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("ridge", [1e-8, 1e-4])
+    def test_runs_fit_the_per_sample_system(self, seed, ridge):
+        s, e = repeated_samples(seed)
+        assert np.unique(s, axis=0).shape[0] < s.shape[0]
+        got = fit_gamut_map(s, e, max_centers=32, ridge=ridge)
+        centers, width, affine, weights, rms, max_abs = per_sample_fit(s, e, 32, ridge)
+        np.testing.assert_array_equal(got.map.centers, centers)
+        assert got.map.kernel_width == width
+        np.testing.assert_allclose(got.map.affine, affine, rtol=0, atol=1e-12)
+        assert np.abs(got.map.weights - weights).max() <= 1e-9 * np.abs(weights).max()
+        np.testing.assert_allclose(got.training_rms, rms, rtol=1e-12)
+        np.testing.assert_allclose(got.training_max_abs, max_abs, rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_order_of_the_rows_does_not_matter(self, seed):
+        s, e = repeated_samples(seed)
+        order = np.random.default_rng(seed + 100).permutation(s.shape[0])
+        assert (s[order][1:] != s[order][:-1]).any(axis=1).sum() > np.unique(s, axis=0).shape[0]
+        runs = fit_gamut_map(s, e, max_centers=32).map
+        shuffled = fit_gamut_map(s[order], e[order], max_centers=32).map
+        np.testing.assert_array_equal(shuffled.centers, runs.centers)
+        np.testing.assert_allclose(shuffled.affine, runs.affine, rtol=0, atol=1e-12)
+        assert np.abs(shuffled.weights - runs.weights).max() <= 1e-9 * np.abs(runs.weights).max()
+
+    @pytest.mark.parametrize("max_centers", [16, 200])
+    def test_distinct_rows_are_the_per_sample_fit_bit_for_bit(self, max_centers):
+        rng = np.random.default_rng(7)
+        s = rng.uniform(0.05, 1.0, size=(150, 3))
+        e = s + 0.1 * np.sin(4.0 * s)
+        got = fit_gamut_map(s, e, max_centers=max_centers)
+        centers, width, affine, weights, rms, max_abs = per_sample_fit(s, e, max_centers, 1e-8)
+        for a, b in [(got.map.centers, centers), (got.map.kernel_width, width),
+                     (got.map.affine, affine), (got.map.weights, weights),
+                     (got.training_rms, rms), (got.training_max_abs, max_abs)]:
+            np.testing.assert_array_equal(a, b)
+
+    def test_each_distinct_point_is_one_center(self):
+        # 24 points x 3 samples and room for 32 centers: every point once.
+        rng = np.random.default_rng(12)
+        s = np.repeat(rng.uniform(0.05, 1.0, size=(24, 3)), 3, axis=0)
+        centers = fit_gamut_map(s, s + 0.05 * np.cos(3.0 * s), max_centers=32).map.centers
+        assert centers.shape == (24, 3)
+        assert np.unique(centers, axis=0).shape[0] == 24
+
+    def test_first_center_is_farthest_from_the_mean_of_every_sample(self):
+        # Ten copies of b pull the samples' mean toward it, so a is the
+        # first center; from the mean of the distinct points it would be b.
+        a, b = [-1.0, 0.0, 0.0], [1.1, 0.0, 0.0]
+        near = [[0.0, 0.1, 0.0], [0.0, 0.0, 0.1], [0.05, 0.05, 0.05]]
+        s = np.array([a] + [b] * 10 + near)
+        centers = fit_gamut_map(s, s + 0.1 * s**2, max_centers=2).map.centers
+        np.testing.assert_array_equal(centers, [a, b])
+        np.testing.assert_array_equal(centers, farthest_point_loop(s, 2))
+
+    def test_repeats_do_not_hide_degenerate_geometry(self):
+        # Three distinct points, ten samples each: never an affine 3-D map.
+        s = np.repeat(np.eye(3), 10, axis=0)
+        with pytest.raises(DegenerateGeometryError):
+            fit_gamut_map(s, s)
+
+
 class TestApplyGamutMap:
     def test_single_center_zero_weights_is_pure_affine(self):
         affine = np.array([[2.0, 0.0, 0.0, 0.1], [0.0, 1.0, 0.5, 0.0], [0.0, 0.0, 1.0, -0.2]])
@@ -334,8 +433,8 @@ class TestFarthestPointSampling:
     def test_deterministic_and_spread(self):
         rng = np.random.default_rng(11)
         pts = rng.uniform(0, 1, size=(60, 3))
-        c1 = _farthest_point_centers(pts, 8)
-        c2 = _farthest_point_centers(pts, 8)
+        c1 = _farthest_point_centers(pts, 8, pts.mean(axis=0))
+        c2 = _farthest_point_centers(pts, 8, pts.mean(axis=0))
         np.testing.assert_array_equal(c1, c2)
         centroid_dist = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
         np.testing.assert_array_equal(c1[0], pts[np.argmax(centroid_dist)])
@@ -360,7 +459,8 @@ class TestSquaredDistanceKernels:
     @pytest.mark.parametrize("pts", _point_sets(), ids=lambda p: f"n{p.shape[0]}")
     @pytest.mark.parametrize("k", [1, 8, 32])
     def test_farthest_point_centers_equal_the_loop(self, pts, k):
-        np.testing.assert_array_equal(_farthest_point_centers(pts, k), farthest_point_loop(pts, k))
+        got = _farthest_point_centers(pts, k, pts.mean(axis=0))
+        np.testing.assert_array_equal(got, farthest_point_loop(pts, k))
 
     @pytest.mark.parametrize("pts", _point_sets(), ids=lambda p: f"n{p.shape[0]}")
     @pytest.mark.parametrize("width", [0.07, 0.3, 2.5])

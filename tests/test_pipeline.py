@@ -263,6 +263,28 @@ class TestRunTwoStageNonlinearGamut:
         without = evaluate(stripped, held).unsaturated.rmse.mean()
         assert with_map < without
 
+    def test_each_patch_passes_the_gamut_fit_one_input(self, monkeypatch):
+        """Every unsaturated sample of a patch gives the gamut fit the same S,
+        bit for bit, so the fit sees one run of equal rows per patch. On this
+        set, gathering the radiance rows per sample before the product with
+        Omega lets BLAS round one patch's rows apart."""
+        import camspec.pipeline
+
+        truth = synthetic_camera(GRID, 2.2, gamut=synthetic_gamut_warp(0.8, 0.06, 0))
+        data = generate_synthetic_dataset(truth, 10, 32, [0.5, 1.0, 2.0], seed=42)
+        seen = []
+        fit = camspec.pipeline.fit_gamut_map
+
+        def recorded(s, e, **kwargs):
+            seen.append(s)
+            return fit(s, e, **kwargs)
+
+        monkeypatch.setattr(camspec.pipeline, "fit_gamut_map", recorded)
+        run_two_stage(data, PipelineConfig())
+        vq = np.nonzero(np.concatenate([s.triplet_valid for s in data.stacks]))[0]
+        (s,) = seen
+        assert np.array_equal((s[1:] != s[:-1]).any(axis=1), np.diff(vq) != 0)
+
 
 class TestRunTwoStageResponse:
     """Exposure scales the gamut map's output (the after-gamut convention),
