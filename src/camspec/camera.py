@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatchError, SaturatedCodeError
+from .errors import GridMismatchError
 from .gamut import RbfGamutMap, apply_gamut_map_batch
 from .spectral import SensitivityMatrix, SpectralCurve, SpectralGrid, spectral_product
 
@@ -48,8 +48,8 @@ def default_thresholds(
 
 def saturation_class(codes, sat_lo: int, sat_hi: int) -> np.ndarray:
     """Per-code saturation, 0 below sat_lo, 1 valid (thresholds included), 2
-    above sat_hi: the comparison behind ``ExposureStack.channel_valid``,
-    ``classify_saturation`` and ``invert_response``."""
+    above sat_hi: the comparison behind ``ExposureStack.channel_valid`` and
+    ``classify_saturation``."""
     codes = np.asarray(codes)
     return (codes >= sat_lo).astype(np.int8) + (codes > sat_hi)
 
@@ -85,10 +85,6 @@ class ResponseCurve:
     def n_codes(self) -> int:
         return 2**self.bit_depth
 
-    @property
-    def code_max(self) -> int:
-        return self.n_codes - 1
-
     @cached_property
     def g_inv(self) -> np.ndarray:
         """Linear-domain table exp(ln_e), cached."""
@@ -119,30 +115,6 @@ def interpolated_code(e_linear, curve: ResponseCurve, channel: int):
 def apply_response(e_linear, curve: ResponseCurve, channel: int):
     """Digital code(s) for linear value(s): nearest table code, half-codes rounded up."""
     return np.floor(interpolated_code(e_linear, curve, channel) + 0.5).astype(int)
-
-
-def invert_response(
-    code: int,
-    curve: ResponseCurve,
-    channel: int,
-    sat_lo: int | None = None,
-    sat_hi: int | None = None,
-) -> float:
-    """Linear exposure represented by a code: exp(ln_e[channel][code]).
-
-    When thresholds are given, codes outside [sat_lo, sat_hi] are refused:
-    a saturated code carries no usable exposure information.
-    """
-    z = int(code)
-    if z != code or z < 0 or z > curve.code_max:
-        raise SaturatedCodeError(f"code {code} outside table range [0, {curve.code_max}]")
-    lo = 0 if sat_lo is None else sat_lo
-    hi = curve.code_max if sat_hi is None else sat_hi
-    if saturation_class(z, lo, hi) != 1:
-        raise SaturatedCodeError(
-            f"code {z} is saturated (valid range [{lo}, {hi}]); cannot invert"
-        )
-    return float(curve.g_inv[channel, z])
 
 
 class Saturation(Enum):
@@ -209,9 +181,6 @@ class CameraModel:
     @property
     def code_max(self) -> int:
         return 2**self.bit_depth - 1
-
-    def classify(self, triplet) -> SaturationFlags:
-        return classify_saturation(triplet, self.sat_lo, self.sat_hi)
 
 
 def render(cam: CameraModel, radiance, exposures) -> np.ndarray:

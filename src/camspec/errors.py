@@ -9,10 +9,6 @@ class GridMismatchError(ValueError):
     """Operands live on different wavelength grids; resample first."""
 
 
-class SaturatedCodeError(ValueError):
-    """A digital code outside the invertible (unsaturated) range was inverted."""
-
-
 class UnderdeterminedError(RuntimeError):
     """A fit has fewer usable equations than unknowns."""
 

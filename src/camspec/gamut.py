@@ -49,15 +49,6 @@ def chromaticity(points) -> np.ndarray:
     return xyz[:, :2] / total[:, None]
 
 
-def rgb_to_xy(s) -> tuple[float, float]:
-    """(x, y) of one linear RGB triplet: one row of ``chromaticity``."""
-    s = np.asarray(s, dtype=float)
-    if s.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {s.shape}")
-    x, y = chromaticity(s[None, :])[0]
-    return float(x), float(y)
-
-
 def srgb_primaries_xy() -> np.ndarray:
     """(x, y) of the red, green, blue primaries under the declared matrix."""
     return chromaticity(np.eye(3))
@@ -144,12 +135,6 @@ def _kernel_matrix(pts: np.ndarray, centers: np.ndarray, width: float) -> np.nda
     return np.exp(np.divide(d2, -2.0 * width * width, out=d2), out=d2)
 
 
-def apply_gamut_map(gmap: RbfGamutMap, s) -> np.ndarray:
-    """Evaluate the map at a single tristimulus point."""
-    s = np.asarray(s, dtype=float)
-    return apply_gamut_map_batch(gmap, s[None, :])[0]
-
-
 def apply_gamut_map_batch(gmap: RbfGamutMap, pts: np.ndarray) -> np.ndarray:
     """Evaluate the map at (N, 3) points."""
     pts = np.asarray(pts, dtype=float)
@@ -169,14 +154,17 @@ class GamutFitResult:
 
 
 def _farthest_point_centers(pts: np.ndarray, k: int, centroid: np.ndarray) -> np.ndarray:
-    """Deterministic farthest-point sampling; first pick is the point
-    farthest from ``centroid``, ties resolved to the lowest index."""
+    """Deterministic farthest-point sampling; first pick is the point farthest from
+    ``centroid``, ties resolved to the lowest index. With room for every distinct
+    point, each distinct row is kept once, at its first occurrence, in input order."""
     if k >= pts.shape[0]:
-        return pts.copy()
+        return pts[np.sort(np.unique(pts, axis=0, return_index=True)[1])]
     chosen = [int(np.argmax(_sq_dist(pts, centroid[None])))]
     dist = _sq_dist(pts, pts[chosen])
     while len(chosen) < k:
         nxt = int(np.argmax(dist))
+        if dist[nxt, 0] == 0:  # every distinct point is picked, at its first row
+            return pts[np.sort(chosen)]
         chosen.append(nxt)
         np.minimum(dist, _sq_dist(pts, pts[nxt, None]), out=dist)
     return pts[chosen]
@@ -213,8 +201,8 @@ def fit_gamut_map(
     sqrt(n) toward the run's mean target. That is exact: over the run,
     sum |a - e_i|^2 = n |a - mean(e)|^2 + a constant. The rank cutoffs keep
     their per-sample values, farthest-point sampling starts from the mean of
-    every sample, and each distinct point is at most one center. Rows
-    without repeats run the per-sample arithmetic bit for bit.
+    every sample, and each distinct point is at most one center, in any order
+    of its repeats. Rows without repeats run the per-sample arithmetic bit for bit.
     """
     s = np.asarray(s_samples, dtype=float)
     e = np.asarray(e_targets, dtype=float)
@@ -246,8 +234,8 @@ def fit_gamut_map(
 
     if not max_centers >= 1:
         raise ValueError(f"max_centers must be at least 1, got {max_centers}")
-    k = min(max_centers, len(pts))
-    centers = _farthest_point_centers(pts, k, s.mean(axis=0))
+    centers = _farthest_point_centers(pts, max_centers, s.mean(axis=0))
+    k = centers.shape[0]
     width = kernel_width if kernel_width is not None else _median_pairwise(centers)
     if not width > 0:
         raise ValueError(f"kernel width must be positive, got {width}")

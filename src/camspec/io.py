@@ -665,10 +665,6 @@ class RunManifest:
     finished_utc: str
 
 
-def sha256_of(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 

@@ -77,10 +77,6 @@ class CalibrationInput:
         object.__setattr__(self, "reflectances", reflectances)
         object.__setattr__(self, "stacks", stacks)
 
-    @property
-    def n_samples(self) -> int:
-        return sum(s.n_patches * s.n_exposures for s in self.stacks)
-
 
 @dataclass(frozen=True)
 class PipelineConfig:

@@ -53,15 +53,18 @@ class SensitivityBasis:
 
     grid: SpectralGrid
     bases: np.ndarray  # (3, d, M), orthonormal rows per channel
-    d: int
     captured_variance: np.ndarray  # (3,) fraction of squared singular mass
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bases", _frozen_array(self.bases))
-        object.__setattr__(self, "captured_variance", _frozen_array(self.captured_variance))
+        bases, m = _frozen_array(self.bases), self.grid.count
+        if bases.ndim != 3 or bases.shape[::2] != (3, m) or bases.shape[1] < 1:
+            raise ValueError(f"bases must be (3, d >= 1, {m}), got {bases.shape}")
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "captured_variance", _frozen_array(self.captured_variance, (3,)))
 
-    def channel_basis(self, k: int) -> np.ndarray:
-        return self.bases[k]
+    @property
+    def d(self) -> int:
+        return self.bases.shape[1]
 
 
 def build_basis(db: SensitivityDatabase, d: int) -> SensitivityBasis:
@@ -78,7 +81,7 @@ def build_basis(db: SensitivityDatabase, d: int) -> SensitivityBasis:
         bases[k] = vt[:d]
         total = float((s**2).sum())
         captured[k] = float((s[:d] ** 2).sum() / total) if total > 0 else 0.0
-    return SensitivityBasis(db.grid, bases, d, captured)
+    return SensitivityBasis(db.grid, bases, captured)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,10 +114,6 @@ class MeasurementSet:
         for name, arr in (("p", p), ("i_linear", i_lin), ("valid", valid)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def n_valid(self) -> int:
-        return int(self.valid.sum())
 
     def valid_rows(self) -> tuple[np.ndarray, np.ndarray]:
         return self.p[self.valid], self.i_linear[self.valid]
@@ -161,7 +160,7 @@ def _fit_rows(grid: SpectralGrid, p, i_lin, basis: SensitivityBasis) -> Sensitiv
     cols = np.empty((grid.count, 3))
     rms = np.empty(3)
     for k in range(3):
-        b_t = basis.channel_basis(k).T
+        b_t = basis.bases[k].T
         # The constraint rows are B^T: the curve is >= 0 at every grid index.
         result = lsi(p @ b_t, i_lin[:, k], b_t)
         coeffs[k] = result.x

@@ -147,15 +147,3 @@ def radiance_rows(lights, surfaces) -> np.ndarray:
     refl = np.stack([c.values for c in surfaces])
     return (ill[:, None, :] * refl[None, :, :]).reshape(-1, ill.shape[1])
 
-
-def integrate_sensitivity(radiance: SpectralCurve, omega: SensitivityMatrix) -> np.ndarray:
-    """Raw tristimulus: per-channel dot product of radiance with sensitivity.
-
-    Plain dot product, no wavelength-step factor; the sensitivity scale
-    absorbs any constant.
-    """
-    if radiance.grid != omega.grid:
-        raise GridMismatchError(
-            "radiance and sensitivity are sampled on different grids; resample first"
-        )
-    return radiance.values @ omega.channels

@@ -142,9 +142,11 @@ def kernel_matrix_broadcast(pts: np.ndarray, centers: np.ndarray, width: float) 
 def farthest_point_loop(pts: np.ndarray, k: int) -> np.ndarray:
     """Farthest-point sampling with one (N, 3) difference per pick: first the
     point farthest from the centroid, then the point farthest from every
-    pick so far, ties to the lowest index."""
-    if k >= pts.shape[0]:
-        return pts.copy()
+    pick so far, ties to the lowest index. With no more than k distinct
+    points, each distinct row once, at its first occurrence, in input order."""
+    first = [i for i in range(pts.shape[0]) if not (pts[:i] == pts[i]).all(axis=1).any()]
+    if k >= len(first):
+        return pts[first]
     chosen = [int(np.argmax(((pts - pts.mean(axis=0)) ** 2).sum(axis=1)))]
     dist = ((pts - pts[chosen[0]]) ** 2).sum(axis=1)
     while len(chosen) < k:

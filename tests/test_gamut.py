@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 from camspec import (
     DEFAULT_GRID,
     RbfGamutMap,
-    apply_gamut_map,
+    chromaticity,
     fit_gamut_map,
     generate_synthetic_dataset,
     partition_gamut,
     radiance_rows,
-    rgb_to_xy,
     synthetic_camera,
     synthetic_gamut_warp,
 )
@@ -59,7 +58,7 @@ def repeated_samples(seed, n_points=60, max_repeat=5):
 
 class TestRgbToXy:
     def test_equal_rgb_is_d65_white(self):
-        x, y = rgb_to_xy((1.0, 1.0, 1.0))
+        x, y = chromaticity([(1.0, 1.0, 1.0)])[0]
         assert abs(x - 0.3127) < 5e-4
         assert abs(y - 0.3290) < 5e-4
 
@@ -68,13 +67,13 @@ class TestRgbToXy:
         [((1, 0, 0), (0.64, 0.33)), ((0, 1, 0), (0.30, 0.60)), ((0, 0, 1), (0.15, 0.06))],
     )
     def test_primaries(self, s, expected):
-        x, y = rgb_to_xy(s)
+        x, y = chromaticity([s])[0]
         assert abs(x - expected[0]) < 5e-4
         assert abs(y - expected[1]) < 5e-4
 
     def test_all_zero_has_no_chromaticity(self):
         with pytest.raises(ValueError, match="undefined"):
-            rgb_to_xy((0.0, 0.0, 0.0))
+            chromaticity([(0.0, 0.0, 0.0)])
 
     @given(
         st.tuples(st.floats(0.001, 10), st.floats(0.001, 10), st.floats(0.001, 10)),
@@ -82,8 +81,7 @@ class TestRgbToXy:
     )
     @settings(max_examples=100, deadline=None)
     def test_scale_invariant(self, s, c):
-        x1, y1 = rgb_to_xy(s)
-        x2, y2 = rgb_to_xy(np.asarray(s) * c)
+        (x1, y1), (x2, y2) = chromaticity([s, np.asarray(s) * c])
         assert abs(x1 - x2) < 1e-12
         assert abs(y1 - y2) < 1e-12
 
@@ -200,8 +198,8 @@ class TestFitGamutMap:
         s = rng.uniform(0.0, 1.0, size=(25, 3))
         e = s**2 + 0.1
         result = fit_gamut_map(s, e, max_centers=25, ridge=0.0)
-        for idx in (0, 11, 24):
-            np.testing.assert_allclose(apply_gamut_map(result.map, s[idx]), e[idx], atol=1e-8)
+        idx = [0, 11, 24]
+        np.testing.assert_allclose(apply_gamut_map_batch(result.map, s[idx]), e[idx], atol=1e-8)
 
     def test_collinear_samples_raise(self):
         t = np.linspace(0, 1, 10)
@@ -354,6 +352,18 @@ class TestRepeatedRows:
         assert centers.shape == (24, 3)
         assert np.unique(centers, axis=0).shape[0] == 24
 
+    @pytest.mark.parametrize("max_centers", [32, 125])
+    def test_repeats_out_of_order_are_one_center_each(self, max_centers):
+        # The same 24 points three times over, as one block each time: the
+        # centers are those of three consecutive copies, in the same order.
+        points = np.random.default_rng(12).uniform(0.05, 1.0, size=(24, 3))
+        centers = [
+            fit_gamut_map(s, s + 0.05 * np.cos(3.0 * s), max_centers=max_centers).map.centers
+            for s in (np.tile(points, (3, 1)), np.repeat(points, 3, axis=0))
+        ]
+        np.testing.assert_array_equal(centers[0], centers[1])
+        np.testing.assert_array_equal(centers[0], points)
+
     def test_first_center_is_farthest_from_the_mean_of_every_sample(self):
         # Ten copies of b pull the samples' mean toward it, so a is the
         # first center; from the mean of the distinct points it would be b.
@@ -383,7 +393,7 @@ class TestApplyGamutMap:
         )
         s = np.array([0.2, 0.4, 0.6])
         np.testing.assert_allclose(
-            apply_gamut_map(gmap, s), affine[:, :3] @ s + affine[:, 3], rtol=1e-15
+            apply_gamut_map_batch(gmap, s[None])[0], affine[:, :3] @ s + affine[:, 3], rtol=1e-15
         )
 
     def test_finite_difference_matches_analytic_jacobian(self):
@@ -405,7 +415,8 @@ class TestApplyGamutMap:
             x = rng.uniform(0.2, 0.9, size=3)
             u = rng.normal(size=3)
             u /= np.linalg.norm(u)
-            fd = (apply_gamut_map(gmap, x + delta * u) - apply_gamut_map(gmap, x)) / delta
+            moved, here = apply_gamut_map_batch(gmap, np.array([x + delta * u, x]))
+            fd = (moved - here) / delta
             analytic = jacobian(x) @ u
             np.testing.assert_allclose(fd, analytic, rtol=1e-4, atol=1e-9)
 
@@ -423,9 +434,8 @@ class TestApplyGamutMap:
             x = rng.uniform(0.0, 1.2, size=3)
             u = rng.normal(size=3)
             u /= np.linalg.norm(u)
-            step = np.linalg.norm(
-                apply_gamut_map(gmap, x + delta * u) - apply_gamut_map(gmap, x)
-            )
+            moved, here = apply_gamut_map_batch(gmap, np.array([x + delta * u, x]))
+            step = np.linalg.norm(moved - here)
             assert step <= lip * delta * (1 + 1e-4)
 
 

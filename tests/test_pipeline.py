@@ -91,7 +91,7 @@ class TestGenerateSyntheticDataset:
     def test_minimal_single_sample_dataset(self):
         truth = synthetic_camera(GRID)
         data = generate_synthetic_dataset(truth, 1, 1, [1.0], seed=0)
-        assert data.n_samples == 1
+        assert sum(s.n_patches * s.n_exposures for s in data.stacks) == 1
         assert data.stacks[0].samples.shape == (1, 1, 3)
 
     def test_intensities_match_equation_oracle(self):

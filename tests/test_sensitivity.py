@@ -6,6 +6,7 @@ import pytest
 from camspec import (
     DEFAULT_GRID,
     MeasurementSet,
+    SensitivityBasis,
     SensitivityDatabase,
     SensitivityMatrix,
     SpectralGrid,
@@ -119,6 +120,18 @@ class TestBuildBasis:
         db = synthetic_database(GRID, 8, seed=0)
         with pytest.raises(ValueError):
             build_basis(db, d)
+
+    @pytest.mark.parametrize("bases, captured", [
+        (np.zeros((3, 0, M)), np.ones(3)),
+        (np.zeros((3, 6, 20)), np.ones(3)),
+        (np.zeros((2, 6, M)), np.ones(3)),
+        (np.zeros((6, M)), np.ones(3)),
+        (np.zeros((3, 6, M)), np.ones(4)),
+    ])
+    def test_refuses_arrays_of_the_wrong_shape(self, bases, captured):
+        shape = bases.shape if captured.shape == (3,) else captured.shape
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            SensitivityBasis(GRID, bases, captured)
 
 
 class TestEstimatePinv:

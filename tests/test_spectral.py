@@ -8,7 +8,6 @@ from camspec import (
     SensitivityMatrix,
     SpectralCurve,
     SpectralGrid,
-    integrate_sensitivity,
     resample,
     spectral_product,
 )
@@ -133,10 +132,12 @@ class TestSpectralProduct:
 
 
 class TestIntegrateSensitivity:
+    """Raw tristimulus is the batch product ``radiance (N, M) @ omega.channels``."""
+
     def test_zero_radiance_gives_zero_tristimulus(self, grid):
         omega = SensitivityMatrix(grid, np.ones((grid.count, 3)))
-        p = curve(grid, np.zeros(grid.count), Kind.RADIANCE)
-        np.testing.assert_array_equal(integrate_sensitivity(p, omega), [0.0, 0.0, 0.0])
+        p = np.zeros((1, grid.count))
+        np.testing.assert_array_equal((p @ omega.channels)[0], [0.0, 0.0, 0.0])
 
     def test_impulse_sensitivity_sifts(self, grid):
         channels = np.zeros((grid.count, 3))
@@ -146,7 +147,7 @@ class TestIntegrateSensitivity:
         omega = SensitivityMatrix(grid, channels)
         rng = np.random.default_rng(0)
         p = curve(grid, rng.uniform(0, 1, grid.count), Kind.RADIANCE)
-        s = integrate_sensitivity(p, omega)
+        s = (p.values[None] @ omega.channels)[0]
         np.testing.assert_allclose(s, [p.values[7], p.values[12], p.values[20]])
 
     def test_matches_bruteforce_summation(self):
@@ -159,17 +160,8 @@ class TestIntegrateSensitivity:
         for k in range(3):
             for i in range(5):
                 expected[k] += p_vals[i] * channels[i, k]
-        got = integrate_sensitivity(
-            curve(g, p_vals, Kind.RADIANCE), SensitivityMatrix(g, channels)
-        )
+        got = (p_vals[None] @ SensitivityMatrix(g, channels).channels)[0]
         np.testing.assert_allclose(got, expected, rtol=1e-15)
-
-    def test_grid_mismatch_raises(self, grid):
-        omega = SensitivityMatrix(grid, np.ones((grid.count, 3)))
-        other = SpectralGrid(400, 5, grid.count)
-        p = curve(other, np.ones(grid.count), Kind.RADIANCE)
-        with pytest.raises(GridMismatchError):
-            integrate_sensitivity(p, omega)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -180,10 +172,8 @@ class TestIntegrateSensitivity:
         p1 = rng.uniform(0, 1, size=10)
         p2 = rng.uniform(0, 1, size=10)
         a, b = rng.uniform(0.1, 3, size=2)
-        combined = integrate_sensitivity(curve(g, a * p1 + b * p2, Kind.RADIANCE), omega)
-        parts = a * integrate_sensitivity(
-            curve(g, p1, Kind.RADIANCE), omega
-        ) + b * integrate_sensitivity(curve(g, p2, Kind.RADIANCE), omega)
+        combined, s1, s2 = np.array([a * p1 + b * p2, p1, p2]) @ omega.channels
+        parts = a * s1 + b * s2
         np.testing.assert_allclose(combined, parts, rtol=1e-12)
 
 
