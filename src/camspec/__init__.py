@@ -18,7 +18,6 @@ from .camera import (
 )
 from .gamut import (
     GamutFitResult,
-    GamutPartition,
     RbfGamutMap,
     chromaticity,
     fit_gamut_map,
@@ -80,7 +79,6 @@ __all__ = [
     "render",
     "simulate_pixel",
     "GamutFitResult",
-    "GamutPartition",
     "RbfGamutMap",
     "chromaticity",
     "fit_gamut_map",

@@ -15,7 +15,7 @@ quantization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -155,32 +155,29 @@ class CameraModel:
     """Everything needed to simulate a camera, or the output of estimating one.
 
     ``gamut=None`` means the identity map; stage-1 estimation and the
-    simplest synthetic cameras use the same simulation path that way.
+    simplest synthetic cameras use the same simulation path that way. The
+    bit depth is the response table's; unset thresholds resolve through
+    ``default_thresholds`` at that depth.
     """
 
     grid: SpectralGrid
     omega: SensitivityMatrix
     response: ResponseCurve
     gamut: RbfGamutMap | None = None
-    bit_depth: int = 8
-    sat_lo: int | None = None  # None: default_thresholds(bit_depth)
+    _: KW_ONLY
+    sat_lo: int | None = None
     sat_hi: int | None = None
 
     def __post_init__(self) -> None:
         if self.omega.grid != self.grid:
             raise GridMismatchError("sensitivity grid differs from the camera grid")
-        if self.response.bit_depth != self.bit_depth:
-            raise ValueError(
-                f"response table is {self.response.bit_depth}-bit, camera declares "
-                f"{self.bit_depth}-bit"
-            )
         lo, hi = default_thresholds(self.bit_depth, self.sat_lo, self.sat_hi)
         object.__setattr__(self, "sat_lo", lo)
         object.__setattr__(self, "sat_hi", hi)
 
     @property
-    def code_max(self) -> int:
-        return 2**self.bit_depth - 1
+    def bit_depth(self) -> int:
+        return self.response.bit_depth
 
 
 def render(cam: CameraModel, radiance, exposures) -> np.ndarray:

@@ -19,16 +19,7 @@ import numpy as np
 
 from . import __version__, io
 from .camera import render
-from .errors import (
-    ConvergenceError,
-    DegenerateGeometryError,
-    GridMismatchError,
-    ParseError,
-    PipelineError,
-    RankDeficiencyError,
-    SchemaVersionError,
-    UnderdeterminedError,
-)
+from .errors import FitError, GridMismatchError, ParseError, PipelineError, SchemaVersionError
 from .gamut import apply_gamut_map_batch, chromaticity, fit_gamut_map, partition_gamut
 from .pipeline import PipelineConfig, evaluate, fit_sensitivity, run_two_stage
 from .response import ExposureStack, check_exposure_reciprocity, estimate_response
@@ -61,17 +52,7 @@ def _exit_code_for(exc: Exception) -> int:
         return EXIT_SCHEMA
     if isinstance(exc, (ParseError, OSError)):
         return EXIT_PARSE
-    if isinstance(
-        exc,
-        (
-            ValueError,
-            UnderdeterminedError,
-            RankDeficiencyError,
-            ConvergenceError,
-            DegenerateGeometryError,
-            PipelineError,
-        ),
-    ):
+    if isinstance(exc, (ValueError, FitError)):
         return EXIT_VALIDATION
     return EXIT_INTERNAL
 
@@ -277,9 +258,7 @@ def _cmd_export_chromaticity(args, run: _Run) -> None:
     s_all = np.repeat(s, valid_count, axis=0)
     if not s_all.size:
         raise PipelineError("no unsaturated samples to project")
-    part = partition_gamut(s_all, cfg.alpha)
-    regions = np.array(["outer"] * len(s_all), dtype=object)
-    regions[part.inner_indices] = "inner"
+    regions = np.where(partition_gamut(s_all, cfg.alpha), "inner", "outer")
     mapped = apply_gamut_map_batch(cam.gamut, s_all) if cam.gamut is not None else s_all
     magnitudes = np.linalg.norm(mapped - s_all, axis=1)
     xy = chromaticity(s_all)

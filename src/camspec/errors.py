@@ -9,23 +9,27 @@ class GridMismatchError(ValueError):
     """Operands live on different wavelength grids; resample first."""
 
 
-class UnderdeterminedError(RuntimeError):
+class FitError(RuntimeError):
+    """A fit or pipeline stage could not produce a result; the CLI exits 4."""
+
+
+class UnderdeterminedError(FitError):
     """A fit has fewer usable equations than unknowns."""
 
 
-class RankDeficiencyError(RuntimeError):
+class RankDeficiencyError(FitError):
     """A linear system is rank deficient or numerically non-invertible."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(FitError):
     """An iterative solver hit its iteration cap or failed its KKT checks."""
 
 
-class DegenerateGeometryError(RuntimeError):
+class DegenerateGeometryError(FitError):
     """Sample geometry is degenerate (e.g. all points collinear)."""
 
 
-class PipelineError(RuntimeError):
+class PipelineError(FitError):
     """A pipeline stage could not run; message carries the stage label."""
 
 

@@ -59,19 +59,6 @@ def white_xy() -> tuple[float, float]:
     return tuple(chromaticity(np.ones((1, 3)))[0].tolist())
 
 
-@dataclass(frozen=True)
-class GamutPartition:
-    """Index split of a point set into inner (near-white) and outer chromaticities."""
-
-    alpha: float
-    inner_indices: np.ndarray
-    outer_indices: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "inner_indices", np.asarray(self.inner_indices, dtype=int))
-        object.__setattr__(self, "outer_indices", np.asarray(self.outer_indices, dtype=int))
-
-
 def _in_triangle(xy: np.ndarray, tri: np.ndarray) -> np.ndarray:
     """Inclusive point-in-triangle via barycentric coordinates; xy is (N, 2)."""
     a, b, c = tri
@@ -81,8 +68,9 @@ def _in_triangle(xy: np.ndarray, tri: np.ndarray) -> np.ndarray:
     return (l1 >= -_TRIANGLE_TOL) & (l2 >= -_TRIANGLE_TOL) & (l1 + l2 <= 1.0 + _TRIANGLE_TOL)
 
 
-def partition_gamut(points, alpha: float) -> GamutPartition:
-    """Split raw tristimulus points by chromaticity against a shrunken sRGB triangle.
+def partition_gamut(points, alpha: float) -> np.ndarray:
+    """(N,) bool: which raw tristimulus points are inner, by chromaticity
+    against a shrunken sRGB triangle; the rest are outer.
 
     The inner region is the primary triangle scaled by ``alpha`` about the
     white point, boundary inclusive. Gamut mapping is treated as negligible
@@ -93,9 +81,7 @@ def partition_gamut(points, alpha: float) -> GamutPartition:
     xy = chromaticity(np.atleast_2d(points))
     w = np.array(white_xy())
     tri = w + alpha * (srgb_primaries_xy() - w)
-    inner = _in_triangle(xy, tri)
-    idx = np.arange(xy.shape[0])
-    return GamutPartition(alpha, idx[inner], idx[~inner])
+    return _in_triangle(xy, tri)
 
 
 @dataclass(frozen=True, eq=False)

@@ -324,6 +324,10 @@ def load_stack_csv(
     _header, text, values, lines = _read_table(path, _STACK_HEADER, text_columns=1)
     if not len(values):
         raise ParseError(f"{path}: no samples")
+    bad = np.flatnonzero(~(np.isfinite(values[:, 0]) & (values[:, 0] > 0)))
+    if bad.size:
+        raise ParseError(f"{path}:{lines[bad[0] + 1]}: exposure_s must be a finite positive "
+                         f"time, got {values[bad[0], 0]}")
     codes = values[:, 1:]
     bad = np.argwhere(~np.isfinite(codes) | (codes != np.trunc(codes)))
     if bad.size:
@@ -516,7 +520,6 @@ def load_camera(path) -> CameraModel:
         omega=SensitivityMatrix(grid, np.asarray(_typed(doc, "omega", _MATRIX), dtype=float)),
         response=ResponseCurve(bit_depth, np.asarray(ln_e)),
         gamut=gamut_from_dict(_typed(doc, "gamut", dict | None)),
-        bit_depth=bit_depth,
         sat_lo=_typed(doc, "sat_lo", int),
         sat_hi=_typed(doc, "sat_hi", int),
     )

@@ -146,7 +146,7 @@ def _linearized(stack: ExposureStack, curve: ResponseCurve, q, i) -> np.ndarray:
 def _inner_samples(lin: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     """Indices of the inner-gamut rows of the linear intensities ``lin``;
     fewer than ``cfg.min_inner`` is a PipelineError."""
-    inner = partition_gamut(lin, cfg.alpha).inner_indices
+    inner = np.flatnonzero(partition_gamut(lin, cfg.alpha))
     if inner.size < cfg.min_inner:
         raise PipelineError(
             f"stage 1: only {inner.size} inner-gamut samples (need >= {cfg.min_inner}); "
@@ -228,7 +228,6 @@ def run_two_stage(
         omega=fit.omega_hat,
         response=g_hat,
         gamut=gfit.map,
-        bit_depth=merged.bit_depth,
         sat_lo=merged.sat_lo,
         sat_hi=merged.sat_hi,
     )
@@ -289,7 +288,10 @@ def evaluate(
     cam = est.camera if isinstance(est, EstimatedCamera) else est
     if validation.grid != cam.grid:
         raise GridMismatchError("validation data is not on the camera grid")
-    stacks = validation.stacks
+    stacks = validation.stacks  # CalibrationInput: every stack has one bit depth
+    if stacks[0].bit_depth != cam.bit_depth:
+        raise ValueError(f"validation data is {stacks[0].bit_depth}-bit but the camera is "
+                         f"{cam.bit_depth}-bit")
     rows = radiance_rows(validation.illuminants, validation.reflectances)
     predicted = np.concatenate([
         render(cam, p, stack.exposures).reshape(-1, 3)

@@ -8,15 +8,16 @@ anchor +- 2 and whole banded blocks; the rest is the exact linear
 extension). The normal equations of the code unknowns x and the patch
 unknowns ln E have a pentadiagonal code block and a diagonal patch block;
 they are assembled from the sparse rows, with the anchor unknown
-eliminated, and one block is eliminated in closed form. With P active
-patches, fewer than the m - 1 free codes, the code block goes: a banded
-LDL^T and a P x P capacitance (Woodbury; Golub & Van Loan, *Matrix
-Computations*, 4.3), O(m P + P^3) time and O(m P) memory per channel.
-Otherwise each patch's ln E goes (variable projection) and the m code
-unknowns are solved densely, O(m^3) time and O(m^2) memory. Once every
-channel is found solvable, each path builds its system once, for the solve
-and one refinement step over the solved codes (Bjorck, *Numerical Methods
-for Least Squares Problems*, 1996), whose size, bounded by
+eliminated, and one block is eliminated in closed form, by one path for
+all three channels. With P, the largest channel's active patch count,
+fewer than the m - 1 free codes, the code block goes: a banded LDL^T and a
+P x P capacitance (Woodbury; Golub & Van Loan, *Matrix Computations*,
+4.3), O(m P + P^3) time and O(m P) memory per channel. Otherwise each
+patch's ln E goes (variable projection) and the m code unknowns are solved
+densely, O(m^3) time and O(m^2) memory. Once every channel is found
+solvable, the path builds its systems once, for the solve and one
+refinement step over the solved codes (Bjorck, *Numerical Methods for
+Least Squares Problems*, 1996), whose size, bounded by
 ``CERTIFICATE_BOUND``, certifies the table.
 """
 
@@ -53,8 +54,8 @@ class ExposureStack:
         samples = np.array(self.samples, dtype=int)
         if exposures.ndim != 1 or exposures.size < 1:
             raise ValueError("need at least one exposure")
-        if (exposures <= 0).any():
-            raise ValueError("exposure times must be positive")
+        if not (np.isfinite(exposures) & (exposures > 0)).all():
+            raise ValueError(f"exposure times must be finite and positive, got {exposures}")
         if samples.ndim != 3 or samples.shape[1] != exposures.size or samples.shape[2] != 3:
             raise ValueError(
                 f"samples must be (n_patch, {exposures.size}, 3), got {samples.shape}"
@@ -275,38 +276,33 @@ def _dense_solver(systems: list[_ChannelSystem]):
 def _code_block_solver(systems: list[_ChannelSystem]):
     """Solve G x = r by eliminating the code block instead of the patch
     block: G^-1 r = u + B^-1 C K^-1 C^T u, where u = B^-1 r and
-    K = W - C^T B^-1 C is the P x P capacitance (Woodbury). One banded
-    LDL^T of B per system; each banded pass runs over every system at once.
+    K = W - C^T B^-1 C is the P x P capacitance (Woodbury). Built once: one
+    banded LDL^T of B per system, B^-1 C by one banded pass over every
+    system at once, and each K; the (m, systems, P) block of B^-1 C then
+    goes, so the peak is the block, the capacitances and one P x P
+    temporary. Each system keeps its own P: it differs between channels
+    only where a threshold is an end code, whose hat weight is 0.
 
-    Returns a function that solves for right-hand sides, one per system;
-    each call costs two banded passes and the P x P solves. The first call's
-    ride as one more column of the pass over C that builds each K, bit for
-    bit; that (m, systems, P + 1) block then goes, so only the factor and
-    the capacitances stay between solves, and the peak is the block, the
-    capacitances and one P x P temporary.
+    Returns a function that solves for right-hand sides, one per system,
+    with two banded passes and the P x P solves.
     """
     s0 = systems[0]
     factor = _band_factor(s0.sw, np.array([s.code_w2 for s in systems]), s0.anchor)
-    block = np.zeros((s0.code_w2.size, len(systems), max(s.n_patches for s in systems) + 1))
+    block = np.zeros((s0.code_w2.size, len(systems), max(s.n_patches for s in systems)))
     for j, s in enumerate(systems):
         np.add.at(block[:, j], (s.codes, s.patch), s.w2)  # C, then its anchor row zeroed
         block[s.anchor, j] = 0.0
-    caps = []
+    _band_solve(factor, block)
+    caps = [s.capacitance(block[:, j, : s.n_patches]) for j, s in enumerate(systems)]
+    del block
 
     def solve(rs):
-        nonlocal block
         u = np.stack(rs, axis=1)[:, :, None]
-        if caps:
-            _band_solve(factor, u)
-        else:  # the first right-hand sides: the block's last column
-            block[:, :, -1:] = u
-            _band_solve(factor, block)
-            caps.extend(s.capacitance(block[:, j, : s.n_patches]) for j, s in enumerate(systems))
-            u, block = block[:, :, -1:].copy(), None
+        _band_solve(factor, u)
         cv = np.stack([s.coupling(np.linalg.solve(cap, s.coupling_t(u[:, j, 0])))
                        for j, (s, cap) in enumerate(zip(systems, caps))], axis=1)[:, :, None]
         _band_solve(factor, cv)
-        return list((u + cv)[:, :, 0].T)
+        return (u + cv)[:, :, 0].T
 
     return solve
 
@@ -327,18 +323,19 @@ def estimate_response(
     codes, the exact solution there: it zeroes every smoothness row that
     touches them, and no other row does. The normal equations are assembled
     from the rows' structure, never from a dense design matrix, with the
-    anchor code fixed at exactly 0 by dropping its row and column. A channel
-    with P active patches, fewer than the m - 1 free codes, eliminates the
-    code block: a banded LDL^T of the smoothness-plus-diagonal code block
-    and a P x P capacitance, O(m P + P^3) time and O(m P) memory; the banded
-    passes serve all such channels at once. A channel with more patches
-    eliminates each patch's ln E, a w^2-weighted mean for fixed g, and
-    solves the m code unknowns densely, O(m^3) time and O(m^2) memory. Each
-    path builds G or the banded factor once, for the solve and one
-    refinement step over the solved codes; a step above
-    ``CERTIFICATE_BOUND`` raises ``RankDeficiencyError``. Smoothness rows
-    fill solved codes the data never reach by curvature-minimizing
-    extension; the final table is projected to be strictly increasing.
+    anchor code fixed at exactly 0 by dropping its row and column. One path
+    solves all three channels. If every channel has fewer active patches P
+    than the m - 1 free codes, each eliminates its code block: a banded
+    LDL^T of the smoothness-plus-diagonal code block and a P x P
+    capacitance, O(m P + P^3) time and O(m P) memory, with each banded pass
+    over all three at once. Otherwise each eliminates each patch's ln E, a
+    w^2-weighted mean for fixed g, and solves the m code unknowns densely,
+    O(m^3) time and O(m^2) memory. The path builds the three G or the
+    banded factors once, for the solve and one refinement step over the
+    solved codes; a step above ``CERTIFICATE_BOUND`` raises
+    ``RankDeficiencyError``. Smoothness rows fill solved codes the data
+    never reach by curvature-minimizing extension; the final table is
+    projected to be strictly increasing.
 
     A system without a unique solution raises ``UnderdeterminedError``
     naming the channels, before anything is factored: ``smoothness_lambda
@@ -400,18 +397,13 @@ def estimate_response(
             for reason, names in deficient.items()
         ))
 
-    # A channel with fewer active patches than free codes eliminates its
-    # code block; the others solve G densely.
-    paths: dict = {}
-    for k, s in enumerate(systems):
-        build = _dense_solver if s.n_patches >= m - 1 else _code_block_solver
-        paths.setdefault(build, []).append(k)
-    solvers = [(ks, build([systems[k] for k in ks])) for build, ks in paths.items()]
+    # Fewer active patches than free codes, in every channel: eliminate the
+    # code block; otherwise solve G densely. One path serves all three.
+    build = _dense_solver if max(s.n_patches for s in systems) >= m - 1 else _code_block_solver
+    solve = build(systems)
     x = np.zeros((3, m))
     for _ in range(2):  # solve, then refine once
-        step = np.zeros((3, m))
-        for ks, solve in solvers:
-            step[ks] = solve([systems[k].gradient(x[k]) for k in ks])
+        step = solve([s.gradient(v) for s, v in zip(systems, x)])
         x += step
 
     for k, certificate in enumerate(np.abs(step).max(axis=1)):

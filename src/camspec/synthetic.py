@@ -100,7 +100,6 @@ def _truth_camera(
         omega=SensitivityMatrix(grid, channels),
         response=ResponseCurve.from_gamma(gamma, bit_depth),
         gamut=gamut,
-        bit_depth=bit_depth,
         sat_lo=sat_lo,
         sat_hi=sat_hi,
     )

@@ -215,12 +215,13 @@ class TestRender:
         rng = np.random.default_rng(11)
         lights = [rng.uniform(0, 1, grid.count) for _ in range(30)] + [np.zeros(grid.count)]
         surfaces = [rng.uniform(0, 1, grid.count) for _ in range(31)]
-        # 1e4 s overdrives every lit row to code_max; the dark row stays at 0.
+        # 1e4 s overdrives every lit row to the top code; the dark row stays at 0.
         exposures = np.array([0.3, 1.0, 2.5, 1e4])
         codes = render(cam, np.stack(lights) * np.stack(surfaces), exposures)
+        code_max = cam.response.n_codes - 1
         assert codes.shape == (31, exposures.size, 3)
-        assert (codes == 0).any() and (codes == cam.code_max).any()
-        assert ((codes > 0) & (codes < cam.code_max)).any()
+        assert (codes == 0).any() and (codes == code_max).any()
+        assert ((codes > 0) & (codes < code_max)).any()
         for n, (light, surface) in enumerate(zip(lights, surfaces)):
             lc = SpectralCurve(grid, light, Kind.ILLUMINANT)
             sc = SpectralCurve(grid, surface, Kind.REFLECTANCE)
@@ -332,7 +333,6 @@ class TestOtherBitDepths:
             grid=grid,
             omega=SensitivityMatrix(grid, np.ones((grid.count, 3))),
             response=ResponseCurve.linear(10),
-            bit_depth=10,
         )
         assert (cam.sat_lo, cam.sat_hi) == (40, 923)
         assert not classify_saturation((500, 500, 500), cam.sat_lo, cam.sat_hi).any_saturated
@@ -347,6 +347,18 @@ class TestOtherBitDepths:
 
 
 class TestCameraModel:
+    def test_bit_depth_is_the_response_tables(self, grid):
+        omega = SensitivityMatrix(grid, np.ones((grid.count, 3)))
+        cam = CameraModel(grid, omega, ResponseCurve.from_gamma(2.2, 10))
+        assert cam.bit_depth == 10
+        assert (cam.sat_lo, cam.sat_hi) == (40, 923)
+        # No bit depth is settable, and thresholds are keyword-only: an old
+        # positional bit depth cannot land in sat_lo.
+        with pytest.raises(TypeError):
+            CameraModel(grid, omega, ResponseCurve.linear(10), bit_depth=10)
+        with pytest.raises(TypeError):
+            CameraModel(grid, omega, ResponseCurve.linear(10), None, 10)
+
     def test_rejects_threshold_disorder(self, grid):
         with pytest.raises(ValueError):
             CameraModel(

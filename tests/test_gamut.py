@@ -94,40 +94,50 @@ class TestRgbToXy:
         assert SRGB_TO_XYZ.tolist() == expected
 
 
+def split(mask):
+    """(inner indices, outer indices) of a ``partition_gamut`` mask."""
+    return np.flatnonzero(mask), np.flatnonzero(~mask)
+
+
 class TestPartitionGamut:
+    def test_returns_one_bool_per_point(self):
+        pts = np.random.default_rng(3).uniform(0.01, 1.0, size=(7, 3))
+        mask = partition_gamut(pts, 0.6)
+        assert mask.dtype == bool and mask.shape == (7,)
+
     def test_white_point_always_inner(self):
         for alpha in (0.01, 0.3, 1.0):
-            part = partition_gamut([(1.0, 1.0, 1.0)], alpha)
-            assert part.inner_indices.tolist() == [0]
+            inner, _ = split(partition_gamut([(1.0, 1.0, 1.0)], alpha))
+            assert inner.tolist() == [0]
 
     def test_alpha_one_contains_all_nonnegative_points(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(0.0, 5.0, size=(200, 3)) + 1e-6
-        part = partition_gamut(pts, 1.0)
-        assert part.outer_indices.size == 0
+        _, outer = split(partition_gamut(pts, 1.0))
+        assert outer.size == 0
 
     def test_red_primary_outer_at_half_alpha(self):
         # Scaling the triangle halves every vertex's distance from white, so
         # the full red primary chromaticity falls outside.
-        part = partition_gamut([(1.0, 0.0, 0.0)], 0.5)
-        assert part.outer_indices.tolist() == [0]
+        _, outer = split(partition_gamut([(1.0, 0.0, 0.0)], 0.5))
+        assert outer.tolist() == [0]
 
     def test_monotone_in_alpha(self):
         rng = np.random.default_rng(1)
         pts = rng.uniform(0.0, 1.0, size=(300, 3)) + 1e-9
         inner_sets = []
         for alpha in (0.2, 0.5, 0.8, 1.0):
-            part = partition_gamut(pts, alpha)
-            inner_sets.append(set(part.inner_indices.tolist()))
+            inner, _ = split(partition_gamut(pts, alpha))
+            inner_sets.append(set(inner.tolist()))
         for smaller, larger in zip(inner_sets, inner_sets[1:]):
             assert smaller <= larger
 
     def test_partition_covers_and_is_disjoint(self):
         rng = np.random.default_rng(2)
         pts = rng.uniform(0.01, 1.0, size=(50, 3))
-        part = partition_gamut(pts, 0.6)
-        inner = set(part.inner_indices.tolist())
-        outer = set(part.outer_indices.tolist())
+        inner_indices, outer_indices = split(partition_gamut(pts, 0.6))
+        inner = set(inner_indices.tolist())
+        outer = set(outer_indices.tolist())
         assert inner | outer == set(range(50))
         assert inner & outer == set()
 

@@ -21,9 +21,18 @@ from camspec import (
     synthetic_database,
     synthetic_gamut_warp,
 )
-from camspec import io
+from camspec import cli, io
 from camspec.pipeline import EvaluationReport
-from camspec.errors import ParseError, SchemaVersionError
+from camspec.errors import (
+    ConvergenceError,
+    DegenerateGeometryError,
+    FitError,
+    ParseError,
+    PipelineError,
+    RankDeficiencyError,
+    SchemaVersionError,
+    UnderdeterminedError,
+)
 
 GRID = DEFAULT_GRID
 
@@ -942,6 +951,40 @@ class TestMalformedTables:
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "ParseError"
         assert "stack.csv:3: I_g must be an integer code" in err["message"]
+
+
+    @pytest.mark.parametrize("time", ["inf", "nan", "0", "-1.0"])
+    def test_non_finite_or_non_positive_exposure_exits_3(self, tmp_path, capsys, time):
+        # Every patch lists the time, so the shared sequence alone does not refuse it.
+        stack = tmp_path / "stack.csv"
+        stack.write_text(
+            "patch_id,exposure_s,I_r,I_g,I_b\n"
+            f"0,1.0,10,11,12\n0,{time},20,21,22\n1,1.0,30,31,32\n1,{time},40,41,42\n",
+            encoding="utf-8",
+        )
+        assert run_cli("fit-response", "--stack", str(stack), "--out", str(tmp_path / "o")) == 3
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ParseError"
+        assert "stack.csv:3: exposure_s must be a finite positive time" in err["message"]
+
+
+class LocalFitError(FitError):
+    """A fit failure that the CLI does not name."""
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [pytest.param(cls("x"), 4, id=cls.__name__) for cls in (
+        FitError, UnderdeterminedError, RankDeficiencyError, ConvergenceError,
+        DegenerateGeometryError, PipelineError, LocalFitError)]
+    + [pytest.param(ParseError("x"), 3, id="ParseError"),
+       pytest.param(SchemaVersionError("x"), 5, id="SchemaVersionError"),
+       pytest.param(OSError("x"), 3, id="OSError"),
+       pytest.param(ValueError("x"), 4, id="ValueError"),
+       pytest.param(KeyError("x"), 1, id="KeyError")],
+)
+def test_exit_code_for(exc, code):
+    assert cli._exit_code_for(exc) == code
 
 
 class TestBlankLines:

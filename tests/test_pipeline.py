@@ -255,7 +255,6 @@ class TestRunTwoStageNonlinearGamut:
             omega=est.camera.omega,
             response=est.camera.response,
             gamut=None,
-            bit_depth=est.camera.bit_depth,
             sat_lo=est.camera.sat_lo,
             sat_hi=est.camera.sat_hi,
         )
@@ -383,7 +382,6 @@ class TestEvaluate:
                 omega=SensitivityMatrix(GRID, channels),
                 response=truth.response,
                 gamut=None,
-                bit_depth=truth.bit_depth,
                 sat_lo=truth.sat_lo,
                 sat_hi=truth.sat_hi,
             )
@@ -399,6 +397,13 @@ class TestEvaluate:
         data = generate_synthetic_dataset(truth, 1, 2, [1.0], seed=2)
         with pytest.raises(GridMismatchError):
             evaluate(other_cam, data)
+
+    def test_refuses_data_of_another_bit_depth(self):
+        truth = synthetic_camera(GRID)
+        ten_bit = synthetic_camera(GRID, bit_depth=10)
+        data = generate_synthetic_dataset(ten_bit, 1, 4, [0.5, 1.0], seed=2)
+        with pytest.raises(ValueError, match="validation data is 10-bit but the camera is 8-bit"):
+            evaluate(truth, data)
 
     def test_disjoint_flag_recorded(self):
         truth = synthetic_camera(GRID)

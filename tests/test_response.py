@@ -75,6 +75,11 @@ class TestExposureStack:
         with pytest.raises(ValueError, match="codes"):
             ExposureStack(np.array([1.0, 2.0]), np.full((2, 2, 3), 300))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_times(self, bad):
+        with pytest.raises(ValueError, match="exposure times must be finite and positive"):
+            ExposureStack([0.5, bad], np.full((1, 2, 3), 100))
+
     def test_single_exposure_is_structurally_valid(self):
         stack = ExposureStack(np.array([1.0]), np.full((2, 1, 3), 100))
         assert stack.n_exposures == 1
@@ -407,7 +412,7 @@ class TestLeanCodeBlock:
         assert max(a.size for a in kept) < m * p
 
     def test_peak_memory_is_the_block_and_the_capacitances(self, monkeypatch, fit_s10_stack):
-        # The block of C and the first right-hand sides, the three P x P
+        # The block of C with a column to spare, the three P x P
         # capacitances and one P x P temporary, plus 1 MiB for the factor,
         # the systems' per-sample arrays and the right-hand sides (about
         # 0.6 MB here). A (P, n_exp, P) gather per capacitance breaks it.
@@ -443,6 +448,29 @@ class TestDenseGram:
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
             assert (got == 0.0).any()
+
+
+class TestOnePathPerStack:
+    """One builder solves all three channels, also when the channels differ
+    in active patches."""
+
+    @pytest.mark.parametrize("fixture, builder", [("synthetic_8bit", "_code_block_solver"),
+                                                  ("synthetic_8bit_wide", "_dense_solver")])
+    def test_channels_with_different_active_patches(self, request, monkeypatch, fixture,
+                                                    builder):
+        # With sat_lo = 0 a channel at code 0 keeps its triplet valid but has
+        # hat weight 0: one active patch leaves red and two more leave blue.
+        stack = request.getfixturevalue(fixture)
+        j = np.flatnonzero(stack.triplet_valid.all(axis=1))[:3]
+        samples = stack.samples.copy()
+        samples[j[0], :, 0] = 0
+        samples[j[1:], :, 2] = 0
+        stack = ExposureStack(stack.exposures, samples, stack.bit_depth, 0, stack.sat_hi)
+        seen = spy_on(monkeypatch, builder)
+        fit = estimate_response(stack)
+        [(systems, _, _)] = seen
+        assert len({s.n_patches for s in systems}) == 3
+        assert np.abs(fit.ln_e - response_dense_oracle(stack)).max() <= 1e-9
 
 
 class TestPatchElimination:
