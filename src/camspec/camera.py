@@ -188,9 +188,9 @@ def render(cam: CameraModel, radiance, exposures) -> np.ndarray:
     range; spectra that overdrive the response clamp at the end codes.
     """
     exposures = np.asarray(exposures, dtype=float).reshape(-1)
-    bad = exposures[~(exposures > 0)]
+    bad = exposures[~(np.isfinite(exposures) & (exposures > 0))]
     if bad.size:
-        raise ValueError(f"exposure must be positive, got {bad[0]}")
+        raise ValueError(f"exposure must be positive and finite, got {bad[0]}")
     p = np.asarray(radiance, dtype=float)
     if p.ndim != 2 or p.shape[1] != cam.grid.count:
         raise GridMismatchError("scene spectra are not on the camera grid; resample first")

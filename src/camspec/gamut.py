@@ -199,6 +199,9 @@ def fit_gamut_map(
         raise ValueError(f"need at least 4 samples to determine the affine term, got {n}")
     if not np.isfinite(e).all():
         raise ValueError("targets must be finite")
+    bad = np.flatnonzero(~np.isfinite(s).all(axis=1))
+    if bad.size:
+        raise ValueError(f"samples must be finite, got {s[bad[0]].tolist()} in row {bad[0]}")
 
     new_run = np.ones(n, dtype=bool)
     new_run[1:] = (s[1:] != s[:-1]).any(axis=1)

@@ -3,7 +3,10 @@
 JSON carries structured models, CSV carries tables meant for external
 plotting. A table goes out in one write, in csv.writer's bytes: UTF-8, CRLF
 rows, floats by ``repr`` so every documented round trip is exact, and each
-distinct integer of a column formatted once. Loaders read each file once,
+distinct integer of a column formatted once. A table comes in through
+numpy's C reader, ``np.loadtxt``, when it has no quoted cell; a table that
+reader refuses or could read otherwise goes to the Python reader, which
+gives the same values and raises every refusal. Loaders read each file once,
 validate eagerly and raise ParseError with the file, line or key, and the
 violated rule.
 """
@@ -40,6 +43,9 @@ EXPOSURE_CONVENTION = "after_gamut"
 #: While a dict, every file a loader reads is recorded in it: path -> SHA-256 of its bytes.
 _read_digests: dict | None = None
 _QUOTED = re.compile('[,"\r\n]').search  # a text cell csv.writer quotes
+#: What np.loadtxt reads otherwise than csv.reader and float: a quote, NUL (it could hide a text
+#: cell cut to the U32 field) and U+001C to U+001F (it strips them from numbers as whitespace).
+_PY_ONLY = '"\x00\x1c\x1d\x1e\x1f'
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +170,36 @@ def _read_table(path, header=None, text_columns=0) -> tuple[list, np.ndarray, np
     ``header``, if given, is the required first row. Every row must have the
     header's width. Blank rows are skipped; ``lines`` are the rows' file
     lines, the header's at ``lines[0]`` and body row i's at ``lines[i + 1]``.
+
+    One ``np.loadtxt`` call parses an unquoted body with no blank row inside it; it
+    accepts a subset of what ``float`` accepts, with the same values. Any table it
+    refuses, or that it would read otherwise, goes to ``_read_table_py``, so every
+    refusal comes from there.
     """
     text = _opened(path, newline="").read()
+    rows = text.replace("\r\n", "\n").replace("\r", "\n").rstrip("\n")
+    top = len(rows) - len(rows := rows.lstrip("\n")) + 1  # the header's line
+    names, _, body = rows.partition("\n")
+    names, k, n = names.split(","), text_columns, body.count("\n") + 1
+    if body and header in (None, names) and not any(c in text for c in _PY_ONLY):
+        dtype = np.dtype([("t", "U32"), ("v", float, (len(names) - k,))]) if k else float
+        try:
+            table = np.loadtxt(StringIO(body), dtype, comments=None, delimiter=",",
+                               ndmin=1 if k else 2)
+        except ValueError:  # a cell float may refuse too, or a row of another width
+            return _read_table_py(path, text, header, text_columns)
+        cells, numbers = (table["t"][:, None], table["v"]) if k else (np.empty((n, 0), str), table)
+        # no blank row (np.loadtxt skips it), no row of another width, no text cell cut to U32
+        if (len(numbers) == n and numbers.shape[1] == len(names) - k
+                and (cells == cells.astype("U31")).all()):
+            return names, cells, numbers, list(range(top, top + n + 1))
+    return _read_table_py(path, text, header, text_columns)
+
+
+def _read_table_py(path, text, header=None, text_columns=0) -> tuple:
+    """``_read_table`` of a file's decoded ``text`` in Python, with every refusal's file, line
+    and column: csv.reader's parse if a cell is quoted, else one split into lines and one
+    into cells, and ``float`` on every number."""
     if '"' in text:  # quoted cells: csv.reader's parse
         reader = csv.reader(StringIO(text, newline=""))
         numbered = [(reader.line_num, row) for row in reader if row]
@@ -605,7 +639,11 @@ def load_scene(path, grid: SpectralGrid) -> tuple[SpectralCurve, list, np.ndarra
     doc, base = read_json(path), Path(path).parent
     light = load_spectral_csv(base / _typed(doc, "illuminant", str), Kind.ILLUMINANT, grid)[0]
     surfaces = load_spectral_csv(base / _typed(doc, "reflectances", str), Kind.REFLECTANCE, grid)
-    return light, surfaces, np.asarray(_typed(doc, "exposures", list[float]), dtype=float)
+    times = np.asarray(_typed(doc, "exposures", list[float]), dtype=float)
+    if not (times.size and (np.isfinite(times) & (times > 0)).all()):
+        raise ParseError(f"{path}: key 'exposures' must list finite positive times, "
+                         f"got {times.tolist()}")
+    return light, surfaces, times
 
 
 # ---------------------------------------------------------------------------

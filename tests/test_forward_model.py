@@ -232,7 +232,7 @@ class TestRender:
                 np.testing.assert_array_equal(codes[n, i], expected)
                 np.testing.assert_array_equal(codes[n, i], simulate_pixel(cam, lc, sc, e))
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_nonpositive_exposure(self, grid, bad):
         cam = synthetic_camera(grid)
         with pytest.raises(ValueError, match="exposure must be positive"):

@@ -267,6 +267,14 @@ class TestFitGamutMap:
         with pytest.raises(ValueError, match="finite"):
             fit_gamut_map(s, e)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_raise_naming_the_row(self, bad):
+        s = np.random.default_rng(8).uniform(0, 1, size=(10, 3))
+        e = s.copy()
+        s[[3, 6], 1] = bad
+        with pytest.raises(ValueError, match=r"samples must be finite, got .* in row 3$"):
+            fit_gamut_map(s, e)
+
     @pytest.mark.parametrize("max_centers", [32, 192])
     def test_weights_match_svd_filter_factor_reference(self, max_centers):
         # Raw tristimulus of a synthetic calibration set through a warped

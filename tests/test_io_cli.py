@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camspec import (
     DEFAULT_GRID,
@@ -404,6 +406,29 @@ def _csv_writer_bytes(path, header, columns) -> bytes:
     return path.read_bytes()
 
 
+#: Number cells of the property test that both readers read alike, then those that float alone
+#: reads (underscores, other digits, U+001C to U+001F around a number) or neither reads.
+ALIKE_CELLS = st.one_of(
+    st.floats().map(repr), st.integers(-300, 300).map(str),
+    st.sampled_from(["007", ".5", "5.", " 1 ", "\x0b1", "1\x0c", "nan", "-nan", "-inf", "1e400",
+                     "-1e-400", "1\xa0"]),
+)
+ODD_CELLS = st.sampled_from(["1_0", "\u0663", "\x1c1", "1\x1f", "\x1d1\x1e", "1\x002", "", " ", "x",
+                             "1e", "0x10"])
+TEXT_CELLS = st.sampled_from(
+    3 * ["p", "a b", "\tt\t", "\u00f1and\u00fa", "\u2713", "12", ""]
+    + ["x" * 31, "x" * 32, "x" * 40, "a\x00", "q\x00r", "x" * 31 + "\x00y"])
+
+
+def _outcome(read):
+    """What a table reader's call returns, numbers by bit pattern, or the error it raises."""
+    try:
+        names, text, numbers, lines = read()
+    except Exception as exc:  # noqa: BLE001 - the two readers must fail alike
+        return type(exc).__name__, str(exc)
+    return names, text.tolist(), text.shape, numbers.view(np.int64).tolist(), numbers.shape, lines
+
+
 def _csv_reader_table(path, text_columns):
     """The reference reader: stdlib csv.reader, blank rows skipped, physical line numbers."""
     with open(path, newline="", encoding="utf-8") as fh:
@@ -470,6 +495,17 @@ class TestCsvCodec:
             pytest.param('"id, name","v ""x"""\r\n"p,1",1.5\r\nq,2\r\n', 1, id="quoted"),
             pytest.param('id,v\r\n"two\r\nlines",1\r\n\r\n"c\rr",2\n"x",3', 1,
                          id="quoted-line-breaks"),
+            # Numbers float accepts and np.loadtxt refuses: the Python reader reads them.
+            pytest.param("x\n1_0\n", 0, id="underscore"),
+            pytest.param("x\n\u0663\n", 0, id="arabic-indic-digit"),
+            # Numbers both accept, with the same bits.
+            pytest.param("x,y\n 1 ,\x0b1\n", 0, id="padded-numbers"),
+            pytest.param("x,y,z\n007,.5,5.\n", 0, id="number-spellings"),
+            pytest.param("x,y,z\nnan,-nan,-inf\n", 0, id="nan-inf"),
+            pytest.param("x,y\n1e400,-1e-400\n", 0, id="overflow-underflow"),
+            pytest.param("id,v\n a b ,1\n\tt\t,2\n\u00f1and\u00fa,3\n", 1, id="text-ids"),
+            pytest.param("id,v\n" + "y" * 31 + ",1\n" + "x" * 32 + ",2\n" + "z" * 40 + ",3\n", 1,
+                         id="long-text-ids"),
         ],
     )
     def test_reader_matches_csv_reader(self, tmp_path, content, text_columns):
@@ -481,7 +517,82 @@ class TestCsvCodec:
         assert lines == ref_lines
         assert text.tolist() == ref_text
         assert text.shape == (len(ref_text), text_columns)
-        assert numbers.tolist() == ref_numbers
+        ref = np.array(ref_numbers, dtype=float).reshape(numbers.shape)
+        assert numbers.view(np.int64).tolist() == ref.view(np.int64).tolist()  # nan != nan
+
+    @pytest.mark.parametrize(
+        "content, text_columns, message",
+        [
+            pytest.param("x,y\n1,2\n1\x002,3\n", 0, "t.csv:3: column 'x': not a number",
+                         id="nul-in-number"),
+            pytest.param("id,a,b\np,1,2\nq,3\n", 1, "t.csv:3: expected 3 fields, got 2",
+                         id="row-one-field-short"),
+            pytest.param("x\n1\n \n2\n", 0, "t.csv:3: column 'x': not a number: ' '",
+                         id="whitespace-only-row"),
+            # np.loadtxt strips U+001C to U+001F from numbers; float does not.
+            pytest.param("x,y\n\x1c1,1\x1f\n", 0, "t.csv:2: column 'x': not a number",
+                         id="separator-controls"),
+        ],
+    )
+    def test_refusals_come_from_the_python_reader(self, tmp_path, content, text_columns,
+                                                  message):
+        path = tmp_path / "t.csv"
+        path.write_bytes(content.encode("utf-8"))
+        with pytest.raises(ParseError) as py:
+            io._read_table_py(path, content, text_columns=text_columns)
+        with pytest.raises(ParseError) as read:
+            io._read_table(path, text_columns=text_columns)
+        assert str(read.value) == str(py.value)
+        assert message in str(read.value)
+
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_reader_matches_python_reader(self, tmp_path_factory, data):
+        """On any table of the codec's edge-case tokens, _read_table returns what
+        _read_table_py returns, bit for bit, or raises the same error."""
+        k, width = data.draw(st.integers(0, 1)), data.draw(st.integers(1, 4))
+        names = [f"c{i}" for i in range(width)]
+        rows = [[data.draw(TEXT_CELLS if c < k else ALIKE_CELLS) for c in range(width)]
+                for _ in range(data.draw(st.sampled_from(range(7))))]
+        if rows and data.draw(st.booleans()):  # one flaw: an odd cell, a short, long or blank row
+            row, flaw = data.draw(st.sampled_from(rows)), data.draw(st.integers(0, 3))
+            if flaw == 0:
+                row[-1] = data.draw(ODD_CELLS)
+            elif flaw == 1:
+                row.pop()
+            elif flaw == 2:
+                row.append("1")
+            else:
+                row.clear()
+        ends = st.sampled_from(["\n", "\r\n", "\r"])
+        content = "\n" * data.draw(st.integers(0, 2)) + ",".join(names)
+        content += "".join(data.draw(ends) + ",".join(row) for row in rows)
+        content += data.draw(st.sampled_from(["", "\n"]))
+        header = data.draw(st.sampled_from([None, names, names, names, names[:-1] + ["other"]]))
+        path = tmp_path_factory.getbasetemp() / "table.csv"
+        path.write_bytes(content.encode("utf-8"))
+        assert _outcome(lambda: io._read_table(path, header, k)) == _outcome(
+            lambda: io._read_table_py(path, content, header, k))
+
+    def test_saved_tables_load_without_the_python_reader(self, tmp_path, monkeypatch):
+        """The files the library writes all take np.loadtxt's path."""
+        cam = synthetic_camera(GRID)
+        inp = generate_synthetic_dataset(cam, 3, 12, [0.5, 1.0, 2.0], seed=5)
+        manifest = io.save_dataset(tmp_path / "data", inp)
+        m = MeasurementSet(GRID, np.ones((4, GRID.count)), np.ones((4, 3)),
+                           np.array([True, False, True, True]))
+        radiance, table = io.save_measurement_set(tmp_path / "m", m)
+        db = io.save_database(tmp_path / "db", synthetic_database(GRID, n_entries=2, seed=3))
+
+        def refuse(path, *args):
+            raise AssertionError(f"{path} went to the Python reader")
+
+        monkeypatch.setattr(io, "_read_table_py", refuse)
+        loaded = io.load_dataset(manifest)
+        for got, want in zip(loaded.stacks, inp.stacks):
+            np.testing.assert_array_equal(got.samples, want.samples)
+        np.testing.assert_array_equal(io.load_measurement_set(radiance, table).valid, m.valid)
+        assert len(io.load_database(db).entries) == 2
 
     def test_written_text_reads_back(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -721,6 +832,19 @@ class TestCli:
         doc = json.loads((out / "gamut.json").read_text())
         gmap = io.gamut_from_dict(doc["gamut"])
         assert gmap.centers.shape[0] == 30
+
+    def test_fit_gamut_non_finite_sample_exits_4_without_lapack_text(self, tmp_path, capfd):
+        s = np.random.default_rng(4).uniform(0.05, 1.0, size=(30, 3))
+        e = s + 0.05 * np.sin(3 * s)
+        s[7, 0] = np.nan
+        samples = tmp_path / "samples.csv"
+        io._write_table(samples, ["S_r", "S_g", "S_b", "E_r", "E_g", "E_b"], [*s.T, *e.T])
+        assert run_cli("fit-gamut", "--samples", str(samples), "--out", str(tmp_path / "o")) == 4
+        out, err = capfd.readouterr()
+        assert "DLASCL" not in out + err  # LAPACK prints to the process's own descriptors
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].endswith("in row 7")
 
     def test_export_chromaticity(self, tmp_path):
         data_dir = tmp_path / "data"
@@ -1136,6 +1260,18 @@ def _scene_exposures_strings(data, tmp):
         "simulate", "--camera", str(data / "truth_camera.json"), "--scene", str(scene)]
 
 
+def _scene_exposures(times):
+    """A scene whose exposure list is ``times``, written by json.dumps (inf as Infinity)."""
+    def build(data, tmp):
+        scene = tmp / "scene.json"
+        scene.write_text(json.dumps({"schema": 1, "illuminant": str(data / "illuminants.csv"),
+                                     "reflectances": str(data / "reflectances.csv"),
+                                     "exposures": times}))
+        return scene, "key 'exposures' must list finite positive times", [
+            "simulate", "--camera", str(data / "truth_camera.json"), "--scene", str(scene)]
+    return build
+
+
 def _scene(data, tmp):
     scene = tmp / "scene.json"
     scene.write_text(json.dumps({"schema": 1, "illuminant": str(data / "illuminants.csv"),
@@ -1194,14 +1330,18 @@ class TestJsonDocuments:
          _camera_with(lambda d: d.update(exposure_applied="before_gamut"), "exposure_applied"),
          _config_with("alpha", "0.6"), _config_with("basis_dim", 2.5),
          _config_with("folds", True), _config_with("rbf_kernel_width", "wide"),
-         _dataset_stack_name_number, _scene_exposures_strings],
+         _dataset_stack_name_number, _scene_exposures_strings,
+         _scene_exposures([0.5, float("inf")]), _scene_exposures([float("nan")]),
+         _scene_exposures([0.0, 1.0]), _scene_exposures([-1.0]), _scene_exposures([])],
         ids=["camera-omega", "camera-grid-count", "dataset-stacks", "database-entry-file",
              "scene-reflectances", "list-document", "config-unknown-key",
              "camera-grid-list", "camera-bit-depth-string", "camera-grid-count-bool",
              "camera-ln-e-null", "camera-gamut-list", "camera-omega-ragged",
              "camera-ln-e-ragged", "camera-exposure-applied", "config-alpha-string",
              "config-basis-dim-float", "config-folds-bool", "config-kernel-width-string",
-             "dataset-stack-name-number", "scene-exposures-strings"],
+             "dataset-stack-name-number", "scene-exposures-strings",
+             "scene-exposures-infinity", "scene-exposures-nan", "scene-exposures-zero",
+             "scene-exposures-negative", "scene-exposures-empty"],
     )
     def test_malformed_document_exits_3_naming_file_and_key(
         self, synth_dir, tmp_path, capsys, build
